@@ -32,7 +32,6 @@ from .welfare import (
     social_matrix,
 )
 from .static_solver import (
-    SolveConfig,
     StaticResult,
     brute_force_static,
     gus,

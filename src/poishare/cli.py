@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from . import io as instance_io
@@ -29,7 +30,7 @@ from .static_solver import (
     ub1,
 )
 from .mobile_solver import adjusted_gps, gps, mobile_bound, ub2
-from .welfare import CoverageState, evaluate_selection
+from .welfare import CoverageState, evaluate_selection, phi_walks
 
 CSV_HEADER = "k,algorithm,welfare,upper_bound,ratio,bound,wall_time_ms,seed"
 
@@ -69,8 +70,8 @@ class EvalReport:
         return json.dumps([asdict(r) for r in self.sorted_rows()], indent=2) + "\n"
 
 
-def _emit(report: EvalReport, fmt: str, out_path: str | None) -> None:
-    text = report.to_csv() if fmt == "csv" else report.to_json()
+def _emit(text: str, out_path: str | None) -> None:
+    """Write ``text`` to ``out_path``, or to stdout without one."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -117,24 +118,28 @@ def run_sweep(
     Static algorithms exploit the greedy prefix property: one run at
     max(ks) yields every smaller budget's solution.  Seeds do not affect
     the deterministic solvers; each seed re-emits the same measurements
-    and is recorded for provenance.
+    and is recorded for provenance.  Upper bounds are computed once per k
+    before any algorithm's timer starts, so ``wall_time_ms`` is the
+    algorithm's own time.
     """
     m = instance.user_count
     k_max = max(ks)
     rows: list[ReportRow] = []
 
-    ub1_cache: dict[int, float] = {}
-
-    def ub1_of(k: int) -> float:
-        if k not in ub1_cache:
-            ub1_cache[k] = ub1(instance, k, cap=cap)
-        return ub1_cache[k]
-
+    for algorithm in algorithms:
+        if algorithm not in STATIC_ALGORITHMS + MOBILE_ALGORITHMS:
+            raise InputError(f"unknown sweep algorithm {algorithm!r}")
+        if algorithm in ("gus", "set-cover-baseline") and k_max > m:
+            raise InputError(f"k range reaches {k_max} but instance has {m} users")
+    static_upper = {}
+    if {"gus", "set-cover-baseline", "no-broadcast"} & set(algorithms):
+        static_upper = {k: ub1(instance, k, cap=cap) for k in ks}
+    mobile_upper = {}
+    if {"gps", "adjusted-gps"} & set(algorithms):
+        mobile_upper = {k: ub2(instance, n, k, cap=cap) for k in ks}
     base_welfare = phi_empty(instance).average
 
     for algorithm in algorithms:
-        if algorithm in ("gus", "set-cover-baseline") and k_max > m:
-            raise InputError(f"k range reaches {k_max} but instance has {m} users")
         t0 = time.monotonic()
         per_k: dict[int, tuple[float, float, float]] = {}  # k -> welfare, ub, bound
         if algorithm == "gus":
@@ -143,15 +148,15 @@ def run_sweep(
                 instance, [u for u, _ in result.trace], k_max
             )
             for k in ks:
-                per_k[k] = (welfares[k - 1], ub1_of(k), static_bound(k, m))
+                per_k[k] = (welfares[k - 1], static_upper[k], static_bound(k, m))
         elif algorithm == "set-cover-baseline":
             picks, _ = greedy_max_coverage(instance, k_max)
             welfares = _static_prefix_welfares(instance, list(picks), k_max)
             for k in ks:
-                per_k[k] = (welfares[k - 1], ub1_of(k), static_bound(k, m))
+                per_k[k] = (welfares[k - 1], static_upper[k], static_bound(k, m))
         elif algorithm == "no-broadcast":
             for k in ks:
-                per_k[k] = (base_welfare, ub1_of(k), static_bound(k, m))
+                per_k[k] = (base_welfare, static_upper[k], static_bound(k, m))
         elif algorithm == "bound":
             for k in ks:
                 b = static_bound(k, m)
@@ -161,19 +166,17 @@ def run_sweep(
                 result = gps(instance, n, k, g=min(g, k))
                 per_k[k] = (
                     result.welfare.average,
-                    ub2(instance, n, k, cap=cap),
+                    mobile_upper[k],
                     mobile_bound(k, instance.node_count, min(g, k)),
                 )
-        elif algorithm == "adjusted-gps":
+        else:  # adjusted-gps
             for k in ks:
                 result = adjusted_gps(instance, n, k)
                 per_k[k] = (
                     result.welfare.average,
-                    ub2(instance, n, k, cap=cap),
+                    mobile_upper[k],
                     mobile_bound(k, instance.node_count, k),
                 )
-        else:
-            raise InputError(f"unknown sweep algorithm {algorithm!r}")
         elapsed_ms = (time.monotonic() - t0) * 1000.0 / len(ks)
         for k in ks:
             welfare, upper, bound = per_k[k]
@@ -210,7 +213,7 @@ def _cmd_solve_static(args) -> int:
         payload["trace"] = [[u, g] for u, g in result.trace]
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        _emit(EvalReport([row]), "csv", None)
+        _emit(EvalReport([row]).to_csv(), None)
     return 0
 
 
@@ -228,8 +231,6 @@ def _cmd_solve_mobile(args) -> int:
     elapsed_ms = (time.monotonic() - t0) * 1000.0
     if args.route in ("matrix", "both"):
         # re-evaluate through the requested route; 'both' raises on mismatch
-        from .welfare import phi_walks
-
         result_welfare = phi_walks(instance, result.walks, route=args.route)
     else:
         result_welfare = result.welfare
@@ -247,7 +248,7 @@ def _cmd_solve_mobile(args) -> int:
         payload["per_user"] = list(result_welfare.per_user)
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        _emit(EvalReport([row]), "csv", None)
+        _emit(EvalReport([row]).to_csv(), None)
     return 0
 
 
@@ -259,7 +260,7 @@ def _cmd_sweep(args) -> int:
     report = run_sweep(
         instance, ks, algorithms, seeds, n=args.n, g=args.g, cap=args.cap
     )
-    _emit(report, args.format, args.out)
+    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return 0
 
 
@@ -277,12 +278,7 @@ def _cmd_gen(args) -> int:
         reduction_kind=args.kind,
     )
     instance = synth_instance(spec)
-    text = instance_io.dumps_instance(instance)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(instance_io.dumps_instance(instance), args.out)
     return 0
 
 
@@ -303,7 +299,7 @@ def _cmd_ingest(args) -> int:
         except OSError as exc:
             raise InputError(f"cannot read check-in file: {exc}") from exc
     errors: list = []
-    with lines if lines is not sys.stdin else _nullcontext(lines) as fh:
+    with lines if lines is not sys.stdin else nullcontext(lines) as fh:
         records = parse_checkins(fh, errors=errors)
     for lineno, reason in errors:
         print(f"line {lineno}: {reason}", file=sys.stderr)
@@ -317,24 +313,8 @@ def _cmd_ingest(args) -> int:
         degree_sigma=args.social_sigma,
         seed=args.seed,
     )
-    text = instance_io.dumps_instance(instance)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(instance_io.dumps_instance(instance), args.out)
     return 0
-
-
-class _nullcontext:
-    def __init__(self, value):
-        self.value = value
-
-    def __enter__(self):
-        return self.value
-
-    def __exit__(self, *exc):
-        return False
 
 
 def _cmd_validate(args) -> int:

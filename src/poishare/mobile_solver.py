@@ -10,25 +10,49 @@ problem are still judged against the optimum of the unaugmented one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from math import comb
 
+import numpy as np
+
 from .errors import InfeasibleError, InputError
-from .model import Instance, Selection, SensingGraph, Walk, WalkSet, check_walk
-from .static_solver import coverage_upper_bound, phi_empty
-from .welfare import CoverageState, WelfareBreakdown, broadcast_breakdown, phi_walks
+from .model import Instance, Selection, SensingGraph, Walk, WalkSet, zero_one_matrix
+from .static_solver import DEFAULT_ENUMERATION_CAP, coverage_upper_bound, phi_empty
+from .welfare import (
+    CoverageState,
+    WelfareBreakdown,
+    broadcast_breakdown,
+    greedy_cover,
+    phi_walks,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkSpace:
     """All candidate walks: exactly ``n`` edges, starting at user nodes,
-    ordered by (start node, node sequence)."""
+    ordered by (start node, node sequence).  Row i of the read-only int32
+    array ``nodes`` is walk i; ``candidates`` (``Walk`` objects) and
+    ``start_index`` (walk indices per start node) are built on first use.
+    """
 
     n: int
-    candidates: tuple[Walk, ...]
-    start_index: dict[int, tuple[int, ...]]
+    nodes: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.nodes)
+
+    @cached_property
+    def candidates(self) -> tuple[Walk, ...]:
+        return tuple(Walk(tuple(row)) for row in self.nodes.tolist())
+
+    @cached_property
+    def start_index(self) -> dict[int, tuple[int, ...]]:
+        starts, first, counts = np.unique(self.nodes[:, 0], return_index=True, return_counts=True)
+        return {
+            int(s): tuple(range(f, f + c))
+            for s, f, c in zip(starts.tolist(), first.tolist(), counts.tolist())
+        }
 
 
 @dataclass(frozen=True)
@@ -43,40 +67,69 @@ class MobileResult:
 
 
 def enumerate_walks(instance: Instance, n: int, simple: bool = False) -> WalkSpace:
-    """Depth-n expansion from every user node.
+    """Depth-n expansion from every user node, one level at a time: each
+    level appends every sorted neighbor of each walk's last node, so rows
+    stay in (start node, node sequence) order.  Node revisits are allowed
+    by default; ``simple=True`` restricts to walks with no repeated node
+    (offered for comparison only).
 
-    Node revisits are allowed by default; ``simple=True`` restricts to
-    walks with no repeated node (offered for comparison only).
+    First the walks of every level are counted by adjacency powers; a level
+    of more than ``DEFAULT_ENUMERATION_CAP`` walks is refused with
+    InfeasibleError before anything is built.  The count ignores
+    ``simple``, so it bounds each level's allocation in both modes.
     """
     if n < 1:
         raise InputError(f"walk length n must be >= 1, got {n}")
-    nbrs = instance.sensing.neighbors
-    candidates: list[Walk] = []
-    start_index: dict[int, list[int]] = {}
+    adjacency = zero_one_matrix(instance.sensing.neighbors, instance.node_count)
+    first, flat = adjacency.indptr[:-1], adjacency.indices.astype(np.int32)
+    degree = np.diff(adjacency.indptr)
 
-    def extend(path: list[int]) -> None:
-        if len(path) == n + 1:
-            start_index.setdefault(path[0], []).append(len(candidates))
-            candidates.append(Walk(tuple(path)))
-            return
-        for nxt in nbrs[path[-1]]:
-            if simple and nxt in path:
-                continue
-            path.append(nxt)
-            extend(path)
-            path.pop()
+    ending = np.zeros(instance.node_count)  # walks ending at each node
+    ending[: instance.user_count] = 1.0
+    for level in range(1, n + 1):
+        count = int(ending @ degree)
+        if count > DEFAULT_ENUMERATION_CAP:
+            raise InfeasibleError(
+                f"refusing to build {count} walks of {level} edges "
+                f"(cap {DEFAULT_ENUMERATION_CAP})"
+            )
+        ending = adjacency.T @ ending
 
-    for start in range(instance.user_count):
-        extend([start])
-    return WalkSpace(
-        n=n,
-        candidates=tuple(candidates),
-        start_index={s: tuple(ids) for s, ids in start_index.items()},
-    )
+    paths = np.arange(instance.user_count, dtype=np.int32)[:, None]
+    for _ in range(n):
+        last = paths[:, -1]
+        fanout = degree[last]
+        block_start = np.cumsum(fanout) - fanout
+        step = flat[np.repeat(first[last] - block_start, fanout) + np.arange(fanout.sum())]
+        paths = np.repeat(paths, fanout, axis=0)
+        if simple:
+            fresh = (paths != step[:, None]).all(axis=1)
+            paths, step = paths[fresh], step[fresh]
+        paths = np.column_stack((paths, step))
+    paths.flags.writeable = False
+    return WalkSpace(n=n, nodes=paths)
 
 
-def _selectable(space: WalkSpace, g: int) -> int:
-    return sum(min(g, len(ids)) for ids in space.start_index.values())
+def _require_selectable(space: WalkSpace, g: int, k: int) -> None:
+    selectable = int(np.minimum(np.bincount(space.nodes[:, 0]), g).sum())
+    if selectable < k:
+        raise InfeasibleError(
+            f"only {selectable} walks selectable under the start cap g={g}, cannot select k={k}"
+        )
+
+
+def _visited_sets(space: WalkSpace, incidence):
+    """Distinct visited-node sets of the walks as a set x road boolean CSR
+    matrix, and the row of each walk."""
+    node_count = incidence.shape[0]
+    keys = np.sort(space.nodes, axis=1)
+    tail = keys[:, 1:]
+    tail[tail == keys[:, :-1]] = node_count  # a repeated node sorts last
+    keys.sort(axis=1)
+    sets, row_of = np.unique(keys, axis=0, return_inverse=True)
+    roads = zero_one_matrix([row[row < node_count] for row in sets], node_count) @ incidence
+    roads.sort_indices()
+    return roads, row_of.reshape(-1)
 
 
 def gps(
@@ -92,7 +145,7 @@ def gps(
     k rounds of argmax marginal welfare over the live candidate walks;
     once a start node has g selected walks, all of its remaining
     candidates leave the search space.  Ties go to the lexicographically
-    least walk.
+    least walk.  Walks that visit the same node set share one scored row.
     """
     if k < 1:
         raise InputError(f"budget k must be >= 1, got {k}")
@@ -102,46 +155,25 @@ def gps(
         space = enumerate_walks(instance, n, simple=simple)
     elif space.n != n:
         raise InputError(f"walk space has n={space.n}, requested n={n}")
-    if _selectable(space, g) < k:
-        raise InfeasibleError(
-            f"only {_selectable(space, g)} walks selectable under the start cap "
-            f"g={g}, cannot select k={k}"
-        )
+    _require_selectable(space, g, k)
 
     state = CoverageState(instance)
-    active = [True] * len(space.candidates)
-    start_counts: dict[int, int] = {}
-    chosen: list[Walk] = []
-    trace: list[tuple[Walk, float]] = []
-    pruned: set[int] = set()
+    roads, row_of = _visited_sets(space, instance.sensing.incidence)
+    rounds = greedy_cover(roads, state.gain, row_of=row_of, groups=space.nodes[:, 0], cap=g)
+    trace = tuple(
+        (Walk(tuple(space.nodes[pick].tolist())), float(scores[pick]) / state.m)
+        for pick, scores in islice(rounds, k)
+    )
+    # a start's cap prunes only when filled before the last pick
+    earlier = [walk.start for walk, _ in trace[:-1]]
+    pruned = {start for start in earlier if earlier.count(start) == g}
 
-    for _ in range(k):
-        best_idx = -1
-        best_gain = -1.0
-        for idx, walk in enumerate(space.candidates):
-            if not active[idx]:
-                continue
-            gain = state.gain_from_nodes(walk.nodes)
-            if gain > best_gain:
-                best_gain = gain
-                best_idx = idx
-        walk = space.candidates[best_idx]
-        active[best_idx] = False
-        state.add_nodes(walk.nodes)
-        chosen.append(walk)
-        trace.append((walk, best_gain))
-        start_counts[walk.start] = start_counts.get(walk.start, 0) + 1
-        if start_counts[walk.start] == g and len(chosen) < k:
-            for idx in space.start_index.get(walk.start, ()):
-                active[idx] = False
-            pruned.add(walk.start)
-
-    walk_set = WalkSet(tuple(chosen), augmentation=g)
+    walk_set = WalkSet(tuple(walk for walk, _ in trace), augmentation=g)
     welfare = phi_walks(instance, walk_set)
     return MobileResult(
         walks=walk_set,
         welfare=welfare,
-        trace=tuple(trace),
+        trace=trace,
         pruned_starts=frozenset(pruned),
     )
 
@@ -288,11 +320,7 @@ def brute_force_mobile(
         raise InputError(f"augmentation factor must be >= 1, got {g}")
     if space is None:
         space = enumerate_walks(instance, n)
-    if _selectable(space, g) < k:
-        raise InfeasibleError(
-            f"only {_selectable(space, g)} walks selectable under the start cap "
-            f"g={g}, cannot select k={k}"
-        )
+    _require_selectable(space, g, k)
 
     # One representative walk per distinct (start, visited set); drop sets
     # contained in another set with the same start.

@@ -20,6 +20,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+from scipy import sparse
+
 from .errors import InputError
 
 
@@ -68,6 +71,19 @@ class SensingGraph:
             if v != u:
                 table[v].append(e)
         return tuple(tuple(row) for row in table)
+
+    @cached_property
+    def incidence(self) -> sparse.csr_matrix:
+        """Node x road boolean matrix whose row v marks ``incident[v]``, in the
+        same order.  Shared by every reader: treat it as read-only."""
+        return zero_one_matrix(self.incident, self.edge_count)
+
+    @cached_property
+    def weight_vector(self) -> np.ndarray:
+        """Per-road weights as a read-only float64 array."""
+        out = np.array([self.weight(e) for e in range(self.edge_count)], dtype=np.float64)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -199,6 +215,17 @@ class WalkSet:
     @property
     def visited_nodes(self) -> frozenset[int]:
         return frozenset(v for w in self.walks for v in w.nodes)
+
+
+def zero_one_matrix(rows, width: int) -> sparse.csr_matrix:
+    """Boolean CSR matrix, true at (i, c) for each column c listed in
+    ``rows[i]`` and stored in the listed order; the lists must not repeat
+    a column.  Products of such matrices stay boolean (set unions)."""
+    indptr = np.concatenate(([0], np.cumsum([len(row) for row in rows], dtype=np.int64)))
+    indices = np.fromiter((c for row in rows for c in row), dtype=np.int32, count=int(indptr[-1]))
+    return sparse.csr_matrix(
+        (np.ones(len(indices), dtype=bool), indices, indptr), shape=(len(rows), width)
+    )
 
 
 def incident_edges(graph: SensingGraph, nodes) -> set[int]:

@@ -28,6 +28,14 @@ log = logging.getLogger(__name__)
 EARTH_RADIUS_KM = 6371.0088
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of ``x``, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 @dataclass(frozen=True)
 class CheckIn:
     user_id: str
@@ -143,13 +151,6 @@ def cluster_locations(checkins, target_count: int):
         )
 
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     if n > 1 and target_count < n:
         dense = _pairwise_haversine(coords)
         np.fill_diagonal(dense, 0.0)
@@ -157,7 +158,7 @@ def cluster_locations(checkins, target_count: int):
         roots = list(range(n)) + [0] * (n - 1)  # root member of each linkage cluster
         for step in range(n - target_count):
             a, b = int(merges[step, 0]), int(merges[step, 1])
-            ra, rb = find(roots[a]), find(roots[b])
+            ra, rb = _find(parent, roots[a]), _find(parent, roots[b])
             parent[rb] = ra
             roots[n + step] = ra
 
@@ -165,7 +166,7 @@ def cluster_locations(checkins, target_count: int):
     assignment: list[int] = []
     members: list[list[int]] = []
     for i in range(n):
-        root = find(i)
+        root = _find(parent, i)
         if root not in label_of_root:
             label_of_root[root] = len(members)
             members.append([])
@@ -200,26 +201,19 @@ def build_roads(locations, knn: int) -> tuple[tuple[int, int], ...]:
             edges.add((min(i, int(j)), max(i, int(j))))
 
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in edges:
-        parent[find(u)] = find(v)
-    while len({find(i) for i in range(n)}) > 1:
+        parent[_find(parent, u)] = _find(parent, v)
+    while len({_find(parent, i) for i in range(n)}) > 1:
         best = None
         for i in range(n):
             for j in range(i + 1, n):
-                if find(i) != find(j):
+                if _find(parent, i) != _find(parent, j):
                     key = (dist[i, j], i, j)
                     if best is None or key < best:
                         best = key
         _, i, j = best
         edges.add((i, j))
-        parent[find(i)] = find(j)
+        parent[_find(parent, i)] = _find(parent, j)
     return tuple(sorted(edges))
 
 

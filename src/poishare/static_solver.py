@@ -6,7 +6,7 @@ closed-form greedy guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -18,24 +18,11 @@ from .welfare import (
     WelfareBreakdown,
     broadcast_breakdown,
     evaluate_selection,
+    greedy_cover,
     phi_set_oracle,
 )
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
-
-TIE_BREAK_RULES = ("lowest-index",)
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    """Budget and determinism knobs for the static solvers."""
-
-    k: int
-    tie_break: str = "lowest-index"
-
-    def __post_init__(self):
-        if self.tie_break not in TIE_BREAK_RULES:
-            raise InputError(f"unknown tie_break {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -47,45 +34,32 @@ class StaticResult:
     trace: tuple[tuple[int, float], ...]
 
 
-def _as_config(config) -> SolveConfig:
-    if isinstance(config, SolveConfig):
-        return config
-    return SolveConfig(k=int(config))
-
-
-def gus(instance: Instance, config, route: str = "set") -> StaticResult:
+def gus(instance: Instance, k: int, route: str = "set") -> StaticResult:
     """Greedy user selection: k rounds, each picking the unselected user
     with the largest marginal welfare, ties to the lowest index.
 
     ``route`` picks how the final welfare is evaluated ('set', 'matrix',
     or 'both' with cross-checking); candidate scoring always uses the
     incremental set route, whose gains match either route exactly.
+
+    Each user is priced with ``CoverageState.gain_from_nodes``, one call
+    per unselected user per round, rather than by ``greedy_cover``: the
+    benchmark's tracer test counts those calls.
     """
-    cfg = _as_config(config)
     m = instance.user_count
-    if not 1 <= cfg.k <= m:
-        raise InputError(f"budget k={cfg.k} must satisfy 1 <= k <= {m}")
+    if not 1 <= k <= m:
+        raise InputError(f"budget k={k} must satisfy 1 <= k <= {m}")
 
     state = CoverageState(instance)
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
     trace: list[tuple[int, float]] = []
-    for _ in range(cfg.k):
-        best_user = -1
-        best_gain = -1.0
-        for v in range(m):
-            if v in chosen_set:
-                continue
-            gain = state.gain_from_nodes((v,))
-            if gain > best_gain:
-                best_gain = gain
-                best_user = v
-        state.add_nodes((best_user,))
-        chosen.append(best_user)
-        chosen_set.add(best_user)
-        trace.append((best_user, best_gain))
-
-    selection = Selection(tuple(chosen))
+    chosen: set[int] = set()
+    for _ in range(k):
+        gains = [-1.0 if v in chosen else state.gain_from_nodes((v,)) for v in range(m)]
+        user = int(np.argmax(gains))  # the first maximum: ties to the lowest index
+        state.add_nodes((user,))
+        chosen.add(user)
+        trace.append((user, gains[user]))
+    selection = Selection(tuple(user for user, _ in trace))
     welfare = evaluate_selection(instance, selection, route=route)
     return StaticResult(selection=selection, welfare=welfare, trace=tuple(trace))
 
@@ -125,38 +99,21 @@ def brute_force_static(
 # ---------------------------------------------------------------------------
 
 
-def _coverage_inputs(instance: Instance, pool) -> tuple[list[np.ndarray], np.ndarray]:
-    g1 = instance.sensing
-    edge_lists = [np.array(g1.incident[v], dtype=np.int64) for v in pool]
-    weights = np.array([g1.weight(e) for e in range(g1.edge_count)], dtype=np.float64)
-    return edge_lists, weights
+def _pool_rows(instance: Instance, pool):
+    """The pool (default: the user nodes) and its rows of the incidence."""
+    pool = list(range(instance.user_count)) if pool is None else list(pool)
+    return pool, instance.sensing.incidence[pool]
 
 
 def greedy_max_coverage(instance: Instance, k: int, pool=None) -> tuple[tuple[int, ...], float]:
     """Classic greedy max coverage over the incident-edge sets of ``pool``
-    (default: the user nodes).  Ties to the lowest node index."""
-    pool = list(range(instance.user_count)) if pool is None else list(pool)
-    edge_lists, weights = _coverage_inputs(instance, pool)
+    (default: the user nodes).  Ties to the lowest pool position."""
+    pool, rows = _pool_rows(instance, pool)
+    weights = instance.sensing.weight_vector
+    picks = [i for i, _ in islice(greedy_cover(rows, weights), max(k, 0))]
     covered = np.zeros(instance.sensing.edge_count, dtype=bool)
-    picks: list[int] = []
-    used = [False] * len(pool)
-    for _ in range(min(k, len(pool))):
-        best_i = -1
-        best_gain = -1.0
-        for i in range(len(pool)):
-            if used[i]:
-                continue
-            ids = edge_lists[i]
-            gain = float(weights[ids[~covered[ids]]].sum())
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        used[best_i] = True
-        picks.append(pool[best_i])
-        ids = edge_lists[best_i]
-        covered[ids] = True
-    value = float(weights[covered].sum())
-    return tuple(picks), value
+    covered[rows[picks].indices] = True
+    return tuple(pool[i] for i in picks), float(weights[covered].sum())
 
 
 def exact_max_coverage(
@@ -166,11 +123,12 @@ def exact_max_coverage(
 
     Raises InfeasibleError when the search would exceed ``cap`` nodes.
     """
-    pool = list(range(instance.user_count)) if pool is None else list(pool)
-    edge_lists, weights = _coverage_inputs(instance, pool)
+    pool, rows = _pool_rows(instance, pool)
     k = min(k, len(pool))
     if k == 0:
         return (), 0.0
+    edge_lists = np.split(rows.indices.astype(np.intp), rows.indptr[1:-1])
+    weights = instance.sensing.weight_vector
     solo = [float(weights[ids].sum()) for ids in edge_lists]
     order = sorted(range(len(pool)), key=lambda i: (-solo[i], pool[i]))
     solo_in_order = [solo[i] for i in order]
@@ -234,38 +192,18 @@ def _greedy_prefix_coverage_bound(instance: Instance, k: int, pool) -> float:
     """Submodularity bound on optimal k-coverage: along the greedy prefix
     S_0, S_1, ..., the optimum is at most cov(S_t) plus the k largest
     single-node marginals at S_t; take the best t."""
-    edge_lists, weights = _coverage_inputs(instance, pool)
-    covered = np.zeros(instance.sensing.edge_count, dtype=bool)
-    used = [False] * len(pool)
+    _, rows = _pool_rows(instance, pool)
+    rounds = greedy_cover(rows, instance.sensing.weight_vector)
     best_bound = float("inf")
     value = 0.0
     for _ in range(min(k, len(pool)) + 1):
-        marginals = []
-        for i in range(len(pool)):
-            if used[i]:
-                continue
-            ids = edge_lists[i]
-            marginals.append(float(weights[ids[~covered[ids]]].sum()))
-        if not marginals:
-            best_bound = min(best_bound, value)
-            break
-        marginals.sort(reverse=True)
-        best_bound = min(best_bound, value + sum(marginals[:k]))
-        # advance greedily (lowest index wins ties)
-        best_i = -1
-        best_gain = -1.0
-        for i in range(len(pool)):
-            if used[i]:
-                continue
-            ids = edge_lists[i]
-            gain = float(weights[ids[~covered[ids]]].sum())
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        used[best_i] = True
-        ids = edge_lists[best_i]
-        covered[ids] = True
-        value += best_gain
+        step = next(rounds, None)
+        if step is None:  # every node taken
+            return min(best_bound, value)
+        pick, scores = step
+        marginals = np.sort(scores[scores >= 0.0])[::-1]
+        best_bound = min(best_bound, value + sum(marginals[:k].tolist()))
+        value += float(scores[pick])
     return best_bound
 
 
@@ -281,15 +219,15 @@ def coverage_upper_bound(
     """
     if k <= 0:
         return 0.0
-    pool = list(range(instance.user_count)) if pool is None else list(pool)
+    pool, rows = _pool_rows(instance, pool)
     try:
         _, value = exact_max_coverage(instance, k, pool, cap=cap)
         return value
     except InfeasibleError:
         pass
-    edge_lists, weights = _coverage_inputs(instance, pool)
+    weights = instance.sensing.weight_vector
     _, greedy_value = greedy_max_coverage(instance, k, pool)
-    solo = sorted((float(weights[ids].sum()) for ids in edge_lists), reverse=True)
+    solo = sorted((rows @ weights).tolist(), reverse=True)
     top_k = sum(solo[: min(k, len(solo))])
     total = float(weights.sum())
     prefix_bound = _greedy_prefix_coverage_bound(instance, k, pool)

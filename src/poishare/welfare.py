@@ -24,9 +24,12 @@ Two independent evaluation routes are provided and must agree exactly:
   double count.  With a personal interest set, ``A`` is rebuilt per user
   from the interesting edges only and the same correction applies.
 
-The matrix route exists to be checked against; the greedy solvers use the
-set route through ``CoverageState``, which tracks covered roads
-incrementally and prices a candidate in O(edges touched).
+The matrix route exists to be checked against.  The solvers price
+candidates through ``CoverageState``, which reduces welfare to a weighted
+maximum coverage (a base total plus a per-road gain), and ``greedy_cover``,
+which prices every candidate of a round with one sparse matrix-vector
+product of a candidate x road incidence matrix and the gains of the roads
+still uncovered.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .model import (
     check_walk,
     incident_edges,
     social_neighborhood,
+    zero_one_matrix,
 )
 
 #: Absolute tolerance for route agreement under non-uniform edge weights.
@@ -305,7 +309,8 @@ class CoverageState:
     ``gain[e]`` is the road's weight times the number of interested users
     whose own access misses it.  A candidate's marginal value is then the
     gain sum over roads it newly covers, which is non-negative by
-    construction.
+    construction.  Both come from the column sums of ``access @ incidence``
+    (users x roads); ``gain`` is read-only for callers.
     """
 
     def __init__(self, instance: Instance):
@@ -315,44 +320,41 @@ class CoverageState:
         self.m = m
         prefs = instance.preferences
 
-        base_sets = _access_base(instance)
-        base_total = 0.0
-        missing_count = np.zeros(g1.edge_count, dtype=np.float64)
-        for i in range(m):
-            base_edges = incident_edges(g1, base_sets[i])
-            interest = prefs.per_user_edges[i] if prefs is not None else None
-            base_total += _edge_weight_sum(instance, base_edges, interest)
-            for e in range(g1.edge_count):
-                if e in base_edges:
-                    continue
-                if interest is not None and e not in interest:
-                    continue
-                missing_count[e] += 1.0
+        # Users x roads in CSC form; products store true entries only, so
+        # column e holds one entry per user whose own access reaches road e.
+        seen = zero_one_matrix(_access_base(instance), m).tocsc() @ g1.incidence[:m]
+        if prefs is None:
+            wanted = np.full(g1.edge_count, m)
+        else:
+            interest = zero_one_matrix(prefs.per_user_edges, g1.edge_count).tocsc()
+            seen = seen.multiply(interest)
+            wanted = np.diff(interest.indptr)
+        seen_count = np.diff(seen.indptr)
 
-        weights = np.array([g1.weight(e) for e in range(g1.edge_count)], dtype=np.float64)
-        self._gain = missing_count * weights
-        self._base_total = base_total
+        weights = g1.weight_vector
+        self.gain = (wanted - seen_count) * weights
+        self._base_total = float(seen_count @ weights)
         self._covered = np.zeros(g1.edge_count, dtype=bool)
         self._covered_gain = 0.0
-        self._node_edges = [np.array(row, dtype=np.int64) for row in g1.incident]
+        self._node_edges = np.split(g1.incidence.indices.astype(np.intp), g1.incidence.indptr[1:-1])
         self._broadcast: set[int] = set()
 
     def _new_edges(self, nodes) -> np.ndarray:
         rows = [self._node_edges[v] for v in nodes]
         if not rows:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.intp)
         ids = np.unique(np.concatenate(rows))
         return ids[~self._covered[ids]]
 
     def gain_from_nodes(self, nodes) -> float:
         """Average-welfare increase if ``nodes`` joined the broadcast."""
         ids = self._new_edges(nodes)
-        return float(self._gain[ids].sum()) / self.m
+        return float(self.gain[ids].sum()) / self.m
 
     def add_nodes(self, nodes) -> None:
         ids = self._new_edges(nodes)
         self._covered[ids] = True
-        self._covered_gain += float(self._gain[ids].sum())
+        self._covered_gain += float(self.gain[ids].sum())
         self._broadcast.update(nodes)
 
     def average(self) -> float:
@@ -362,6 +364,37 @@ class CoverageState:
     @property
     def broadcast_nodes(self) -> frozenset[int]:
         return frozenset(self._broadcast)
+
+
+def greedy_cover(rows, weights, row_of=None, groups=None, cap=None):
+    """Greedy weighted maximum coverage over the road sets in the boolean
+    CSR ``rows``; candidate c covers row c, or row ``row_of[c]`` if given.
+
+    Each round prices every candidate with one matrix-vector product
+    against the weights of the roads still uncovered, sets taken or capped
+    candidates to -1 and picks the first maximum, so ties go to the lowest
+    index.  A group (``groups[c]``) that has given ``cap`` picks leaves the
+    pool.  Yields ``(pick, scores)`` once the pick is applied; stops when
+    the pool is empty.
+    """
+    live = np.ones(rows.shape[0] if row_of is None else len(row_of), dtype=bool)
+    covered = np.zeros(rows.shape[1], dtype=bool)
+    taken: dict[int, int] = {}
+    while live.any():
+        scores = rows @ np.where(covered, 0.0, weights)
+        if row_of is not None:
+            scores = scores[row_of]
+        scores[~live] = -1.0
+        pick = int(np.argmax(scores))
+        row = pick if row_of is None else int(row_of[pick])
+        covered[rows.indices[rows.indptr[row] : rows.indptr[row + 1]]] = True
+        live[pick] = False
+        if groups is not None:
+            group = groups[pick]
+            taken[group] = taken.get(group, 0) + 1
+            if taken[group] == cap:
+                live[groups == group] = False
+        yield pick, scores
 
 
 def marginal_gain(instance: Instance, current, candidate) -> float:

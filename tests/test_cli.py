@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -173,3 +174,30 @@ def test_gen_reduction_and_ingest_cli(tmp_path, capsys):
     assert "line 31" in captured.err
     inst = ps.load_instance(inst_out)
     assert inst.user_count == 6
+
+
+def test_sweep_charges_no_bound_time_to_an_algorithm(tiny_instance_path, capsys, monkeypatch):
+    real_ub1 = ps.cli.ub1
+
+    def slow_ub1(*args, **kwargs):
+        time.sleep(0.2)
+        return real_ub1(*args, **kwargs)
+
+    monkeypatch.setattr(ps.cli, "ub1", slow_ub1)
+    assert main(["sweep", tiny_instance_path, "--k-range", "1:3", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    gus_rows = [r for r in rows if r["algorithm"] == "gus"]
+    assert len(gus_rows) == 3
+    assert all(r["wall_time_ms"] < 100 for r in gus_rows), gus_rows
+
+
+def test_solve_mobile_refuses_long_walks_up_front(tmp_path, capsys):
+    path = tmp_path / "paper.json"
+    assert main(["gen", "--mode", "gowalla-like", "--nodes", "92", "--seed", "7",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    start = time.monotonic()
+    assert main(["solve-mobile", str(path), "-n", "8", "-k", "10"]) == 2
+    assert time.monotonic() - start < 5.0
+    err = capsys.readouterr().err
+    assert "10338608 walks of 7 edges" in err and "cap 2000000" in err

@@ -4,8 +4,16 @@ from itertools import combinations, product
 import pytest
 
 import poishare as ps
+from poishare import mobile_solver
 from poishare.mobile_solver import intermediate_solution
-from util import exact_total, random_all_user_instance, random_instance
+from util import (
+    assert_greedy_rounds,
+    exact_total,
+    random_all_user_instance,
+    random_instance,
+    reference_greedy,
+    welfare_total,
+)
 
 
 def path3():
@@ -365,3 +373,77 @@ def test_mobile_reduction_tail_walks_are_optimal():
             for users in combinations(range(static.user_count), k)
         )
         assert opt.welfare.average == pytest.approx(best_tail)
+
+
+def test_enumerate_walks_orders_by_start_then_sequence():
+    rng = random.Random(45)
+    for _ in range(60):
+        inst = random_instance(rng, max_users=4, max_extra_nodes=2, with_loops=True)
+        nbrs = inst.sensing.neighbors
+        for n in range(1, 4):
+            walks = [
+                seq
+                for seq in product(range(inst.node_count), repeat=n + 1)
+                if seq[0] < inst.user_count and all(b in nbrs[a] for a, b in zip(seq, seq[1:]))
+            ]
+            assert [w.nodes for w in ps.enumerate_walks(inst, n).candidates] == walks
+            simple = [w.nodes for w in ps.enumerate_walks(inst, n, simple=True).candidates]
+            assert simple == [seq for seq in walks if len(set(seq)) == len(seq)]
+
+
+def test_enumerate_walks_refuses_a_level_over_the_cap(monkeypatch):
+    rng = random.Random(46)
+    checked = 0
+    for _ in range(40):
+        inst = random_instance(rng, max_users=5, max_extra_nodes=2, with_loops=True)
+        n = rng.randint(1, 3)
+        count = len(ps.enumerate_walks(inst, n))
+        if count == 0:
+            continue
+        monkeypatch.setattr(mobile_solver, "DEFAULT_ENUMERATION_CAP", count)
+        assert len(ps.enumerate_walks(inst, n)) == count
+        monkeypatch.setattr(mobile_solver, "DEFAULT_ENUMERATION_CAP", count - 1)
+        with pytest.raises(ps.InfeasibleError, match=rf"walks of [1-{n}] edges \(cap {count - 1}\)"):
+            ps.enumerate_walks(inst, n)
+        monkeypatch.undo()
+        checked += 1
+    assert checked > 30
+
+
+def _gps_cases(rng: random.Random, weighted: bool):
+    """(instance, n, k, g, candidate node tuples, result) for feasible gps runs
+    with g = 1 and g = k."""
+    for _ in range(40):
+        inst = random_instance(
+            rng, max_users=5, max_extra_nodes=2, with_prefs=rng.random() < 0.5,
+            with_weights=weighted, with_loops=True, max_radius=2,
+        )
+        n, k = rng.randint(1, 3), rng.randint(1, 4)
+        space = ps.enumerate_walks(inst, n)
+        candidates = [w.nodes for w in space.candidates]
+        for g in sorted({1, k}):
+            try:
+                result = ps.gps(inst, n, k, g, space=space)
+            except ps.InfeasibleError:
+                continue
+            yield inst, k, g, candidates, result
+
+
+def test_gps_matches_the_reference_greedy():
+    checked = 0
+    for inst, k, g, candidates, result in _gps_cases(random.Random(47), weighted=False):
+        picks, gains = reference_greedy(lambda nodes: welfare_total(inst, nodes), candidates, k, g=g)
+        assert [w.nodes for w in result.walks.walks] == [candidates[i] for i in picks]
+        assert [gain for _, gain in result.trace] == [gain / inst.user_count for gain in gains]
+        checked += 1
+    assert checked > 30
+
+
+def test_gps_takes_a_best_gain_under_weights():
+    checked = 0
+    for inst, k, g, candidates, result in _gps_cases(random.Random(48), weighted=True):
+        index = {nodes: i for i, nodes in reversed(list(enumerate(candidates)))}
+        picks = [index[w.nodes] for w in result.walks.walks]
+        assert_greedy_rounds(lambda nodes: welfare_total(inst, nodes), candidates, picks, g=g)
+        checked += 1
+    assert checked > 30

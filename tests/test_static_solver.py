@@ -4,8 +4,16 @@ import random
 import pytest
 
 import poishare as ps
-from poishare.static_solver import coverage_upper_bound, exact_max_coverage
-from util import exact_total, random_instance, vertex_cover_exists
+from poishare.static_solver import coverage_upper_bound, exact_max_coverage, greedy_max_coverage
+from util import (
+    assert_greedy_rounds,
+    coverage_total,
+    exact_total,
+    random_instance,
+    reference_greedy,
+    vertex_cover_exists,
+    welfare_total,
+)
 
 
 def path3():
@@ -45,8 +53,6 @@ def test_gus_rejects_bad_budget():
         ps.gus(path3(), 4)
     with pytest.raises(ps.InputError):
         ps.gus(path3(), 0)
-    with pytest.raises(ps.InputError):
-        ps.gus(path3(), ps.SolveConfig(k=1, tie_break="random"))
 
 
 def test_gus_trace_gains_non_increasing():
@@ -211,3 +217,47 @@ def test_theorem4_style_bound_on_small_instances():
             if opt == 0:
                 continue
             assert greedy >= ps.static_bound(k, m) * opt - 1e-9
+
+
+def _greedy_instance(rng: random.Random, weighted: bool) -> ps.Instance:
+    return random_instance(
+        rng, max_users=6, max_extra_nodes=3, with_prefs=rng.random() < 0.5,
+        with_weights=weighted, with_loops=True, max_radius=2,
+    )
+
+
+def test_static_greedies_match_the_reference_greedy():
+    rng = random.Random(24)
+    for _ in range(40):
+        inst = _greedy_instance(rng, weighted=False)
+        m = inst.user_count
+        picks, gains = reference_greedy(
+            lambda nodes: welfare_total(inst, nodes), [(v,) for v in range(m)], m
+        )
+        result = ps.gus(inst, m)
+        assert list(result.selection.users) == picks
+        assert [gain for _, gain in result.trace] == [gain / m for gain in gains]
+        for pool in (range(m), range(inst.node_count)):
+            expected, _ = reference_greedy(
+                lambda nodes: coverage_total(inst, nodes), [(v,) for v in pool], len(pool)
+            )
+            got, value = greedy_max_coverage(inst, len(pool), pool=pool)
+            assert list(got) == expected
+            assert value == coverage_total(inst, set(got))
+
+
+def test_static_greedies_take_a_best_gain_under_weights():
+    rng = random.Random(25)
+    for _ in range(30):
+        inst = _greedy_instance(rng, weighted=True)
+        m = inst.user_count
+        assert_greedy_rounds(
+            lambda nodes: welfare_total(inst, nodes),
+            [(v,) for v in range(m)],
+            list(ps.gus(inst, m).selection.users),
+        )
+        for pool in (range(m), range(inst.node_count)):
+            got, _ = greedy_max_coverage(inst, len(pool), pool=pool)
+            assert_greedy_rounds(
+                lambda nodes: coverage_total(inst, nodes), [(v,) for v in pool], list(got)
+            )

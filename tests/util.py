@@ -7,6 +7,7 @@ clever machinery with the code they check.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import poishare as ps
@@ -160,3 +161,78 @@ def exact_total(breakdown: ps.WelfareBreakdown) -> int:
     rounded = round(total)
     assert abs(total - rounded) < 1e-6, f"expected integer welfare sum, got {total}"
     return rounded
+
+
+def _road_weight(instance: ps.Instance, e: int):
+    weights = instance.sensing.edge_weights
+    return 1 if weights is None else weights[e]
+
+
+def welfare_total(instance: ps.Instance, broadcast_nodes) -> float:
+    """Sum of per-user utilities from the definitions; an exact integer
+    under unit weights."""
+    g1 = instance.sensing
+    prefs = instance.preferences
+    total = 0
+    for i in range(instance.user_count):
+        access = {i} | ps.social_neighborhood(instance, i) | set(broadcast_nodes)
+        for e, (u, v) in enumerate(g1.edges):
+            if (u in access or v in access) and (prefs is None or e in prefs.per_user_edges[i]):
+                total += _road_weight(instance, e)
+    return total
+
+
+def coverage_total(instance: ps.Instance, nodes) -> float:
+    """Weight of the roads touching ``nodes``; an exact integer under unit
+    weights."""
+    return sum(
+        _road_weight(instance, e)
+        for e, (u, v) in enumerate(instance.sensing.edges)
+        if u in nodes or v in nodes
+    )
+
+
+def reference_greedy(value, candidates, k: int, g: int | None = None):
+    """Plain greedy: ``candidates`` are node tuples, a walk's first node
+    being its start.  Each of k rounds scans the candidates in index order
+    and takes the first one whose nodes raise ``value(broadcast nodes)``
+    strictly more than any before it.  With ``g``, a start that has given g
+    picks leaves the pool.  Returns the picked indices and their gains."""
+    chosen: set[int] = set()
+    starts: Counter = Counter()
+    picks, gains = [], []
+    for _ in range(k):
+        current = value(chosen)
+        best, best_gain = None, None
+        for idx, nodes in enumerate(candidates):
+            if idx in picks or (g is not None and starts[nodes[0]] >= g):
+                continue
+            gain = value(chosen | set(nodes)) - current
+            if best is None or gain > best_gain:
+                best, best_gain = idx, gain
+        if best is None:
+            break
+        picks.append(best)
+        gains.append(best_gain)
+        chosen |= set(candidates[best])
+        starts[candidates[best][0]] += 1
+    return picks, gains
+
+
+def assert_greedy_rounds(value, candidates, picks, g: int | None = None, tol: float = 1e-9):
+    """Each pick's gain, priced by ``value``, reaches the best gain among the
+    candidates still in the pool at its round to within ``tol``."""
+    chosen: set[int] = set()
+    starts: Counter = Counter()
+    for rnd, pick in enumerate(picks):
+        current = value(chosen)
+        pool = [
+            idx for idx, nodes in enumerate(candidates)
+            if idx not in picks[:rnd] and (g is None or starts[nodes[0]] < g)
+        ]
+        assert pick in pool, f"round {rnd}: pick {pick} was not in the pool"
+        best = max(value(chosen | set(candidates[idx])) - current for idx in pool)
+        gain = value(chosen | set(candidates[pick])) - current
+        assert gain >= best - tol, f"round {rnd}: pick gains {gain}, best is {best}"
+        chosen |= set(candidates[pick])
+        starts[candidates[pick][0]] += 1
