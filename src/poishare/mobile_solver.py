@@ -389,7 +389,9 @@ def brute_force_mobile(
     )
 
 
-def ub2(instance: Instance, n: int, k: int, cap: int = 2_000_000) -> float:
+def ub2(
+    instance: Instance, n: int, k: int, cap: int = 2_000_000, base: float | None = None
+) -> float:
     """Upper bound on the mobile optimum: base welfare plus the best
     coverage reachable by k*(n+1) sensing nodes (any nodes, not just
     users).
@@ -397,10 +399,13 @@ def ub2(instance: Instance, n: int, k: int, cap: int = 2_000_000) -> float:
     k walks of n edges visit at most k*(n+1) distinct nodes, so this
     dominates every feasible solution; a budget of n*k nodes does not,
     and small instances exist where it undercuts the true optimum.
+    ``base`` is ``phi_empty(instance).average``, computed here when not
+    given; a caller bounding many budgets passes it once.
     """
     if n < 1:
         raise InputError(f"walk length n must be >= 1, got {n}")
-    base = phi_empty(instance).average
+    if base is None:
+        base = phi_empty(instance).average
     if k <= 0:
         return base
     budget = min(k * (n + 1), instance.node_count)

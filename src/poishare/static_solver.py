@@ -6,7 +6,7 @@ closed-form greedy guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from math import comb
 
 import numpy as np
@@ -121,51 +121,77 @@ def exact_max_coverage(
 ) -> tuple[tuple[int, ...], float]:
     """Exact max coverage by branch and bound with coverage-sum pruning.
 
+    Pool nodes are ordered by falling singleton coverage, ties to the
+    lower node.  The search is depth first over that order: each search
+    node decides the next pool node, taking it first and then leaving it
+    out, so search nodes are visited in preorder with the "take" branch
+    first.  A search node is cut once its coverage plus the largest
+    singleton coverages that could still be added cannot beat the
+    incumbent, which starts as the greedy cover.
+
+    The covered roads are one integer bitset.  Each pool node's roads
+    become a mask plus ``(bit, weight)`` pairs on the node's first visit;
+    under unit weights a node's fresh coverage is the popcount of its
+    uncovered mask bits.  The search runs on an explicit stack: it steps
+    straight into the "take" child and stacks the "leave" child, so its
+    depth is not limited by the recursion limit.  Returns the sorted picks
+    of the first best cover found, and its value.
+
     Raises InfeasibleError when the search would exceed ``cap`` nodes.
     """
     pool, rows = _pool_rows(instance, pool)
-    k = min(k, len(pool))
+    size = len(pool)
+    k = min(k, size)
     if k == 0:
         return (), 0.0
-    edge_lists = np.split(rows.indices.astype(np.intp), rows.indptr[1:-1])
     weights = instance.sensing.weight_vector
-    solo = [float(weights[ids].sum()) for ids in edge_lists]
-    order = sorted(range(len(pool)), key=lambda i: (-solo[i], pool[i]))
-    solo_in_order = [solo[i] for i in order]
+    unit = bool((weights == 1.0).all())
+    solo = (rows @ weights).tolist()
+    order = sorted(range(size), key=lambda i: (-solo[i], pool[i]))
+    # optimistic[p + s] - optimistic[p]: the s largest singletons from position p on
+    optimistic = list(accumulate((solo[i] for i in order), initial=0.0))
+    optimistic += optimistic[-1:] * k
+    indptr, indices = rows.indptr.tolist(), rows.indices.tolist()
+    road_weights = weights.tolist()
+    roads: list = [None] * size  # position -> (mask, ((bit, weight), ...))
 
-    greedy_picks, greedy_value = greedy_max_coverage(instance, k, pool)
-    best_value = greedy_value
+    greedy_picks, best_value = greedy_max_coverage(instance, k, pool)
     best_pick = tuple(sorted(greedy_picks))
+    chosen = [0] * k  # chosen[:depth]: the pool indices taken on the path
+    stack = [(0, 0, 0, 0.0)]  # (position, picks taken, covered bitset, value)
     visited = 0
-
-    def dfs(pos: int, chosen: list[int], covered: np.ndarray, value: float) -> None:
-        nonlocal best_value, best_pick, visited
-        visited += 1
-        if visited > cap:
-            raise InfeasibleError(
-                f"exact max coverage exceeded search cap {cap} "
-                f"(pool {len(pool)}, k {k})"
-            )
-        if value > best_value:
-            best_value = value
-            best_pick = tuple(sorted(pool[i] for i in chosen))
-        if len(chosen) == k or pos == len(order):
-            return
-        slots = k - len(chosen)
-        optimistic = value + sum(solo_in_order[pos : pos + slots])
-        if optimistic <= best_value:
-            return
-        i = order[pos]
-        ids = edge_lists[i]
-        fresh = ids[~covered[ids]]
-        with_i = covered.copy()
-        with_i[fresh] = True
-        chosen.append(i)
-        dfs(pos + 1, chosen, with_i, value + float(weights[fresh].sum()))
-        chosen.pop()
-        dfs(pos + 1, chosen, covered, value)
-
-    dfs(0, [], np.zeros(instance.sensing.edge_count, dtype=bool), 0.0)
+    while stack:
+        pos, depth, covered, value = stack.pop()
+        while True:
+            visited += 1
+            if visited > cap:
+                raise InfeasibleError(
+                    f"exact max coverage exceeded search cap {cap} "
+                    f"(pool {size}, k {k})"
+                )
+            if value > best_value:
+                best_value = value
+                best_pick = tuple(sorted(pool[i] for i in chosen[:depth]))
+            if depth == k or pos == size:
+                break
+            if value + (optimistic[pos + k - depth] - optimistic[pos]) <= best_value:
+                break
+            node = roads[pos]
+            if node is None:
+                i = order[pos]
+                pairs = tuple((1 << e, road_weights[e]) for e in indices[indptr[i] : indptr[i + 1]])
+                node = roads[pos] = (sum(bit for bit, _ in pairs), pairs)
+            mask, pairs = node
+            stack.append((pos + 1, depth, covered, value))
+            chosen[depth] = order[pos]
+            fresh = mask & ~covered
+            if unit:
+                value += fresh.bit_count()
+            else:
+                value += sum(w for bit, w in pairs if fresh & bit)
+            pos += 1
+            depth += 1
+            covered |= mask
     return best_pick, best_value
 
 
@@ -239,10 +265,17 @@ def phi_empty(instance: Instance) -> WelfareBreakdown:
     return broadcast_breakdown(instance, ())
 
 
-def ub1(instance: Instance, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def ub1(
+    instance: Instance, k: int, cap: int = DEFAULT_ENUMERATION_CAP, base: float | None = None
+) -> float:
     """Upper bound on the static optimum: base welfare plus the best
-    k-user coverage (exact when affordable, safely relaxed otherwise)."""
-    base = phi_empty(instance).average
+    k-user coverage (exact when affordable, safely relaxed otherwise).
+
+    ``base`` is ``phi_empty(instance).average``, computed here when not
+    given; a caller bounding many budgets passes it once.
+    """
+    if base is None:
+        base = phi_empty(instance).average
     if k <= 0:
         return base
     return base + coverage_upper_bound(instance, min(k, instance.user_count), cap=cap)

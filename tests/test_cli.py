@@ -191,6 +191,24 @@ def test_sweep_charges_no_bound_time_to_an_algorithm(tiny_instance_path, capsys,
     assert all(r["wall_time_ms"] < 100 for r in gus_rows), gus_rows
 
 
+def test_sweep_computes_the_base_welfare_once(tiny_instance_path, capsys, monkeypatch):
+    real_phi_empty = ps.static_solver.phi_empty
+    calls = []
+
+    def counted_phi_empty(instance):
+        calls.append(instance)
+        return real_phi_empty(instance)
+
+    for module in (ps.cli, ps.static_solver, ps.mobile_solver):
+        monkeypatch.setattr(module, "phi_empty", counted_phi_empty)
+    argv = ["sweep", tiny_instance_path, "--k-range", "1:3", "--algorithms",
+            "gus,no-broadcast,gps", "--format", "json"]
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 9
+    assert len(calls) == 1
+
+
 def test_solve_mobile_refuses_long_walks_up_front(tmp_path, capsys):
     path = tmp_path / "paper.json"
     assert main(["gen", "--mode", "gowalla-like", "--nodes", "92", "--seed", "7",

@@ -10,6 +10,7 @@ from util import (
     coverage_total,
     exact_total,
     random_instance,
+    reference_exact_max_coverage,
     reference_greedy,
     vertex_cover_exists,
     welfare_total,
@@ -148,6 +149,66 @@ def test_exact_coverage_cap_refusal():
     inst = random_instance(rng, max_users=8, min_users=8, edge_prob=0.9)
     with pytest.raises(ps.InfeasibleError):
         exact_max_coverage(inst, 4, cap=3)
+
+
+def _search_outcome(search, inst, k, pool, cap):
+    try:
+        return search(inst, k, pool, cap=cap)
+    except ps.InfeasibleError:
+        return "capped"
+
+
+def test_exact_coverage_matches_the_recursive_reference():
+    """Same search nodes as the recursive numpy search: same refusals at
+    caps 3 and 30, same picks and value.  Under weights the two add a
+    node's fresh road weights, and the optimistic bound, in other orders,
+    so a value may differ in the last bits and a tie between optima may
+    go the other way; there the values agree to 1e-9 and the picks reach
+    the value."""
+    rng = random.Random(30)
+    # Four nodes cover all 12 roads and greedy's five miss one, so at k = 5
+    # the best cover is found above full depth and has four picks.
+    trap = ps.vcp_reduction_instance(9, [
+        (0, 2), (0, 3), (0, 6), (1, 5), (2, 5), (2, 7), (2, 8), (3, 5), (3, 8), (4, 5), (4, 8), (7, 8),
+    ])
+    for t in range(41):
+        weighted = t > 0 and rng.random() < 0.4
+        inst = trap if t == 0 else random_instance(
+            rng, max_users=8, max_extra_nodes=2, min_users=2,
+            edge_prob=rng.choice((0.3, 0.6, 0.9)), with_weights=weighted,
+            with_loops=rng.random() < 0.3, with_prefs=rng.random() < 0.3,
+        )
+        for pool in (range(inst.user_count), range(inst.node_count)):
+            for k in range(1, len(pool) + 1):
+                for cap in (3, 30, ps.static_solver.DEFAULT_ENUMERATION_CAP):
+                    got = _search_outcome(exact_max_coverage, inst, k, pool, cap)
+                    want = _search_outcome(reference_exact_max_coverage, inst, k, pool, cap)
+                    if not weighted or "capped" in (got, want):
+                        assert got == want, (k, cap)
+                    else:
+                        assert got[1] == pytest.approx(want[1], abs=1e-9), (k, cap)
+                        assert coverage_total(inst, set(got[0])) == pytest.approx(got[1], abs=1e-9)
+
+
+def test_exact_coverage_matches_the_reference_on_the_golden_instance():
+    inst = ps.synth_instance(ps.GenSpec(mode="gowalla-like", node_count=40, seed=7))
+    for k in range(1, 13):
+        got = _search_outcome(exact_max_coverage, inst, k, None, 20_000)
+        assert got == _search_outcome(reference_exact_max_coverage, inst, k, None, 20_000), k
+
+
+def test_exact_coverage_search_is_not_bounded_by_the_recursion_limit():
+    """A 1,200-node pool whose search runs deeper than the recursion limit
+    (a recursive search raises RecursionError here).  300 disjoint K4s,
+    k = 400: greedy covers 300*3 + 100*2 = 1,100 roads, and no 400 nodes
+    cover more than 3*400."""
+    edges = [
+        (4 * c + a, 4 * c + b) for c in range(300) for a in range(4) for b in range(a + 1, 4)
+    ]
+    inst = ps.vcp_reduction_instance(1200, edges)
+    with pytest.raises(ps.InfeasibleError, match="search cap"):
+        exact_max_coverage(inst, 400, cap=20_000)
+    assert 1100 <= coverage_upper_bound(inst, 400, cap=20_000) <= 1200
 
 
 def test_coverage_upper_bound_dominates_exact():

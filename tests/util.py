@@ -10,6 +10,8 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
+
 import poishare as ps
 
 
@@ -236,3 +238,56 @@ def assert_greedy_rounds(value, candidates, picks, g: int | None = None, tol: fl
         assert gain >= best - tol, f"round {rnd}: pick gains {gain}, best is {best}"
         chosen |= set(candidates[pick])
         starts[candidates[pick][0]] += 1
+
+
+def reference_exact_max_coverage(instance: ps.Instance, k: int, pool=None,
+                                 cap: int = ps.static_solver.DEFAULT_ENUMERATION_CAP):
+    """The branch and bound of ``exact_max_coverage`` written plainly, as
+    its oracle: recursion, a boolean covered-road array copied per taken
+    node, numpy sums of each node's fresh road weights, and the optimistic
+    bound summed from a slice of the singleton coverages at every search
+    node.  It visits the same search nodes in the same order, so picks,
+    value and the search-cap refusal must agree.  It recurses once per
+    pool position: use it on small pools only."""
+    pool = list(range(instance.user_count)) if pool is None else list(pool)
+    rows = instance.sensing.incidence[pool]
+    k = min(k, len(pool))
+    if k == 0:
+        return (), 0.0
+    edge_lists = np.split(rows.indices.astype(np.intp), rows.indptr[1:-1])
+    weights = instance.sensing.weight_vector
+    solo = [float(weights[ids].sum()) for ids in edge_lists]
+    order = sorted(range(len(pool)), key=lambda i: (-solo[i], pool[i]))
+    solo_in_order = [solo[i] for i in order]
+
+    greedy_picks, greedy_value = ps.static_solver.greedy_max_coverage(instance, k, pool)
+    best_value = greedy_value
+    best_pick = tuple(sorted(greedy_picks))
+    visited = 0
+
+    def dfs(pos: int, chosen: list[int], covered: np.ndarray, value: float) -> None:
+        nonlocal best_value, best_pick, visited
+        visited += 1
+        if visited > cap:
+            raise ps.InfeasibleError(f"search cap {cap} exceeded")
+        if value > best_value:
+            best_value = value
+            best_pick = tuple(sorted(pool[i] for i in chosen))
+        if len(chosen) == k or pos == len(order):
+            return
+        slots = k - len(chosen)
+        optimistic = value + sum(solo_in_order[pos : pos + slots])
+        if optimistic <= best_value:
+            return
+        i = order[pos]
+        ids = edge_lists[i]
+        fresh = ids[~covered[ids]]
+        with_i = covered.copy()
+        with_i[fresh] = True
+        chosen.append(i)
+        dfs(pos + 1, chosen, with_i, value + float(weights[fresh].sum()))
+        chosen.pop()
+        dfs(pos + 1, chosen, covered, value)
+
+    dfs(0, [], np.zeros(instance.sensing.edge_count, dtype=bool), 0.0)
+    return best_pick, best_value
