@@ -30,7 +30,7 @@ from .static_solver import (
     ub1,
 )
 from .mobile_solver import adjusted_gps, gps, mobile_bound, ub2
-from .welfare import CoverageState, evaluate_selection, phi_walks
+from .welfare import ROUTES, CoverageState, phi_walks
 
 CSV_HEADER = "k,algorithm,welfare,upper_bound,ratio,bound,wall_time_ms,seed"
 
@@ -108,17 +108,17 @@ def run_sweep(
     instance: Instance,
     ks: list[int],
     algorithms,
-    seeds,
+    seed: int,
     n: int = 2,
     g: int = 1,
     cap: int = 500_000,
 ) -> EvalReport:
-    """One report row per (k, algorithm, seed).
+    """One report row per (k, algorithm).
 
     Static algorithms exploit the greedy prefix property: one run at
-    max(ks) yields every smaller budget's solution.  Seeds do not affect
-    the deterministic solvers; each seed re-emits the same measurements
-    and is recorded for provenance.  Upper bounds are computed once per k,
+    max(ks) yields every smaller budget's solution.  ``seed`` does not
+    affect the deterministic solvers; it is recorded in every row for
+    provenance.  Upper bounds are computed once per k,
     on one base welfare, before any algorithm's timer starts, so
     ``wall_time_ms`` is the algorithm's own time.
     """
@@ -181,10 +181,7 @@ def run_sweep(
         for k in ks:
             welfare, upper, bound = per_k[k]
             ratio = welfare / upper if upper > 0 else 0.0
-            for seed in seeds:
-                rows.append(
-                    ReportRow(k, algorithm, welfare, upper, ratio, bound, elapsed_ms, seed)
-                )
+            rows.append(ReportRow(k, algorithm, welfare, upper, ratio, bound, elapsed_ms, seed))
     return EvalReport(rows)
 
 
@@ -256,10 +253,7 @@ def _cmd_sweep(args) -> int:
     instance = instance_io.load_instance(args.instance)
     ks = _parse_k_range(args.k_range)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
-    report = run_sweep(
-        instance, ks, algorithms, seeds, n=args.n, g=args.g, cap=args.cap
-    )
+    report = run_sweep(instance, ks, algorithms, args.seed, n=args.n, g=args.g, cap=args.cap)
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return 0
 
@@ -335,9 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_report_options(p):
         p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-        p.add_argument("--route", choices=("set", "matrix", "both"), default="set")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument(
             "--cap",
@@ -350,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-static", help="greedy user selection")
     p.add_argument("instance")
     p.add_argument("-k", type=int, required=True)
-    add_common(p)
+    p.add_argument("--route", choices=ROUTES, default="set")
+    add_report_options(p)
     p.set_defaults(func=_cmd_solve_static)
 
     p = sub.add_parser("solve-mobile", help="greedy path selection")
@@ -359,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-g", type=int, default=1, help="augmentation factor")
     p.add_argument("--adjusted", action="store_true", help="distinct-start post-processing")
-    add_common(p)
+    p.add_argument("--route", choices=ROUTES, default="set")
+    add_report_options(p)
     p.set_defaults(func=_cmd_solve_mobile)
 
     p = sub.add_parser("sweep", help="budget sweep to CSV/JSON")
@@ -371,11 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of "
         + ",".join(STATIC_ALGORITHMS + MOBILE_ALGORITHMS),
     )
-    p.add_argument("--seeds", default="", help="comma-separated seed column values")
     p.add_argument("-n", type=int, default=2, help="walk length for mobile algorithms")
     p.add_argument("-g", type=int, default=1, help="augmentation for gps")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    add_common(p)
+    add_report_options(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gen", help="generate a synthetic instance")
@@ -388,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knn", type=int, default=4)
     p.add_argument("--hops", type=int, default=2)
     p.add_argument("--kind", choices=("vcp", "mobile"), default="vcp")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out", default=None)
-    add_common(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("ingest", help="build an instance from check-in TSV")
@@ -399,13 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knn", type=int, default=4)
     p.add_argument("--social-mean", type=float, default=24.0)
     p.add_argument("--social-sigma", type=float, default=8.0)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out", default=None)
-    add_common(p)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("validate", help="check an instance file")
     p.add_argument("instance")
-    add_common(p)
     p.set_defaults(func=_cmd_validate)
 
     return parser

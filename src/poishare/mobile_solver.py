@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
 
 from .errors import InfeasibleError, InputError
 from .model import Instance, Selection, SensingGraph, Walk, WalkSet, zero_one_matrix
-from .static_solver import DEFAULT_ENUMERATION_CAP, coverage_upper_bound, phi_empty
+from .static_solver import DEFAULT_ENUMERATION_CAP, coverage_upper_bound, phi_empty, static_bound
 from .welfare import (
     CoverageState,
     WelfareBreakdown,
@@ -351,7 +351,6 @@ def brute_force_mobile(
 
     best_value = -1.0
     best_combo: tuple[tuple[int, frozenset[int], Walk], ...] = ()
-    from itertools import combinations
 
     for size in range(min(k, len(reps)), 0, -1):
         for combo in combinations(reps, size):
@@ -420,8 +419,7 @@ def mobile_bound(k: int, varpi: int, g: int) -> float:
         raise InputError(f"mobile_bound needs k >= 1 and varpi >= 1, got k={k}, varpi={varpi}")
     if not 1 <= g <= k:
         raise InputError(f"augmentation factor must satisfy 1 <= g <= k, got g={g}, k={k}")
-    full = 1.0 - ((varpi - 2) / varpi) * ((k - 1) / k) ** k
-    return (g / k) * full
+    return (g / k) * static_bound(k, varpi)
 
 
 # ---------------------------------------------------------------------------

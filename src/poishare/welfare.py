@@ -10,19 +10,20 @@ with her personal interest set; welfare is the average utility over users.
 Two independent evaluation routes are provided and must agree exactly:
 
 - the *set route*: direct unions of incident-edge sets;
-- the *matrix route*: build a sensing matrix ``A`` (weighted adjacency)
-  and a social reach matrix ``B`` (unit diagonal, 1 where two users are
-  within the social hop radius), set entire rows of ``B`` to one for every
-  broadcasting/visited node, and read each user's utility off the product
-  ``C = A B`` as
+- the *matrix route*: the closed form on sparse matrices.  ``A`` is the
+  weighted adjacency of the sensing graph and ``d`` its row sums.  ``B``
+  is the node x user reach matrix: 1 on each user's own node and between
+  users within the social hop radius, with the row of every
+  broadcasting/visited node set to all ones.  Every user's utility is then
 
-      phi_x = sum_j C[j, x] - 0.5 * (sum of A over the rows/columns
-                                     flagged in column x of B)
+      phi = d B - 0.5 * colsum(B o (A B))
 
-  The column sum counts a road once per reachable endpoint, so roads with
-  both endpoints reachable are counted twice; the second term removes the
-  double count.  With a personal interest set, ``A`` is rebuilt per user
-  from the interesting edges only and the same correction applies.
+  ``d B`` counts a road once per reachable endpoint, so roads with both
+  endpoints reachable are counted twice; ``colsum(B o (A B))`` is twice
+  their weight, and the second term removes the double count.  Without
+  interest sets this is one expression for all users; with them, ``A``
+  is masked to each user's interesting roads and the expression is taken
+  per user.
 
 The matrix route exists to be checked against.  The solvers price
 candidates through ``CoverageState``, which reduces welfare to a weighted
@@ -37,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import CrosscheckError, InputError
 from .model import (
@@ -67,11 +69,6 @@ class WelfareBreakdown:
     def from_per_user(cls, per_user) -> "WelfareBreakdown":
         values = tuple(float(v) for v in per_user)
         return cls(per_user=values, average=sum(values) / len(values))
-
-    @property
-    def total(self) -> float:
-        """Sum of per-user utilities (an integer under uniform weights)."""
-        return self.average * len(self.per_user)
 
 
 # ---------------------------------------------------------------------------
@@ -128,84 +125,69 @@ def phi_walks_set(instance: Instance, walks: WalkSet) -> WelfareBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def sensing_matrix(instance: Instance, interest: frozenset[int] | None = None) -> np.ndarray:
-    """Symmetric weighted adjacency of the sensing graph.
+def sensing_matrix(
+    instance: Instance, interest: frozenset[int] | None = None
+) -> sparse.csr_array:
+    """Symmetric weighted adjacency ``A`` of the sensing graph, as CSR.
 
     ``interest`` restricts to an edge subset (per-user variant).  A
     self-loop stores twice its weight: once for each incidence the column
     sum attributes to it, which keeps both the column-sum identity and the
     double-count correction exact.
     """
+    g1 = instance.sensing
+    ends = np.array(g1.edges, dtype=np.intp).reshape(-1, 2)
+    weights = g1.weight_vector
+    if interest is not None:
+        keep = np.zeros(g1.edge_count, dtype=bool)
+        keep[np.fromiter(interest, dtype=np.intp, count=len(interest))] = True
+        ends, weights = ends[keep], weights[keep]
+    # Both orientations of every edge; a self-loop's two land on one cell
+    # and are summed.
+    rows = np.concatenate((ends[:, 0], ends[:, 1]))
+    cols = np.concatenate((ends[:, 1], ends[:, 0]))
     size = instance.node_count
-    a = np.zeros((size, size), dtype=np.float64)
-    for e, (u, v) in enumerate(instance.sensing.edges):
-        if interest is not None and e not in interest:
-            continue
-        w = instance.sensing.weight(e)
-        if u == v:
-            a[u, u] += 2.0 * w
-        else:
-            a[u, v] = w
-            a[v, u] = w
-    return a
+    return sparse.csr_array(
+        (np.concatenate((weights, weights)), (rows, cols)), shape=(size, size)
+    )
 
 
-@dataclass(frozen=True)
-class SocialReachMatrix:
-    """0/1 reach matrix with a record of the rows forced to one.
+def social_matrix(instance: Instance, broadcast_rows=()) -> sparse.csr_array:
+    """Node x user reach matrix ``B``, as CSR.
 
-    Fresh from ``social_matrix`` it is symmetric with unit diagonal; after
-    ``with_rows_set`` the named rows are all ones and symmetry is gone
-    (columns are untouched: a broadcaster gains nothing from her own
-    selection).  Treat ``entries`` as read-only.
+    Column x is 1 on user x's own node and on every user within the social
+    hop radius of x.  Each node in ``broadcast_rows`` gets a row of ones (it
+    reaches every user); its column is untouched, since a broadcaster gains
+    nothing from its own broadcast, so symmetry is gone.
     """
-
-    entries: np.ndarray
-    updated_rows: frozenset[int] = frozenset()
-
-    def with_rows_set(self, rows) -> "SocialReachMatrix":
-        rows = tuple(rows)
-        if not rows:
-            return self
-        out = self.entries.copy()
-        out[list(rows), :] = 1.0
-        return SocialReachMatrix(out, self.updated_rows | frozenset(rows))
-
-    def reach_of(self, user: int) -> np.ndarray:
-        """Indices whose information reaches ``user`` (ones of her column)."""
-        return np.flatnonzero(self.entries[:, user] != 0.0)
+    m = instance.user_count
+    rows = [sorted({v} | social_neighborhood(instance, v)) for v in range(m)]
+    rows += [()] * (instance.node_count - m)
+    for v in broadcast_rows:
+        rows[v] = range(m)
+    return sparse.csr_array(zero_one_matrix(rows, m), dtype=np.float64)
 
 
-def social_matrix(instance: Instance) -> SocialReachMatrix:
-    """Reach matrix over all sensing nodes (unit diagonal everywhere,
-    social closeness marked between user pairs only)."""
-    size = instance.node_count
-    b = np.eye(size, dtype=np.float64)
-    for i in range(instance.user_count):
-        for j in social_neighborhood(instance, i):
-            b[j, i] = 1.0
-            b[i, j] = 1.0
-    return SocialReachMatrix(b)
-
-
-def _phi_user_matrix(a: np.ndarray, b: SocialReachMatrix, user: int) -> float:
-    column = a @ b.entries[:, user]
-    members = b.reach_of(user)
-    minor_sum = a[np.ix_(members, members)].sum()
-    return float(column.sum() - 0.5 * minor_sum)
+def _closed_form(a: sparse.csr_array, b):
+    """``d B - 0.5 * colsum(B o (A B))`` for every column of ``b``, a sparse
+    array or one dense column, where ``d`` holds the row sums of ``a``."""
+    d = a.sum(axis=1)
+    return d @ b - 0.5 * (b * (a @ b)).sum(axis=0)
 
 
 def _matrix_breakdown(instance: Instance, broadcast_rows) -> WelfareBreakdown:
-    b = social_matrix(instance).with_rows_set(broadcast_rows)
+    b = social_matrix(instance, broadcast_rows)
     prefs = instance.preferences
     if prefs is None:
-        a = sensing_matrix(instance)
-        per_user = [_phi_user_matrix(a, b, x) for x in range(instance.user_count)]
+        per_user = _closed_form(sensing_matrix(instance), b)
     else:
-        per_user = [
-            _phi_user_matrix(sensing_matrix(instance, prefs.per_user_edges[x]), b, x)
-            for x in range(instance.user_count)
-        ]
+        b = b.tocsc()
+        per_user = []
+        for x in range(instance.user_count):
+            column = np.zeros(instance.node_count)
+            column[b.indices[b.indptr[x] : b.indptr[x + 1]]] = 1.0
+            a = sensing_matrix(instance, prefs.per_user_edges[x])
+            per_user.append(_closed_form(a, column))
     return WelfareBreakdown.from_per_user(per_user)
 
 
@@ -237,7 +219,7 @@ def phi_walks_matrix(instance: Instance, walks: WalkSet) -> WelfareBreakdown:
     forced to one before the product is taken."""
     for w in walks.walks:
         check_walk(instance, w)
-    return _matrix_breakdown(instance, sorted(walks.visited_nodes))
+    return _matrix_breakdown(instance, walks.visited_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +319,6 @@ class CoverageState:
         self._covered = np.zeros(g1.edge_count, dtype=bool)
         self._covered_gain = 0.0
         self._node_edges = np.split(g1.incidence.indices.astype(np.intp), g1.incidence.indptr[1:-1])
-        self._broadcast: set[int] = set()
 
     def _new_edges(self, nodes) -> np.ndarray:
         rows = [self._node_edges[v] for v in nodes]
@@ -355,15 +336,10 @@ class CoverageState:
         ids = self._new_edges(nodes)
         self._covered[ids] = True
         self._covered_gain += float(self.gain[ids].sum())
-        self._broadcast.update(nodes)
 
     def average(self) -> float:
         """Current average welfare."""
         return (self._base_total + self._covered_gain) / self.m
-
-    @property
-    def broadcast_nodes(self) -> frozenset[int]:
-        return frozenset(self._broadcast)
 
 
 def greedy_cover(rows, weights, row_of=None, groups=None, cap=None):

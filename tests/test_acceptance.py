@@ -356,7 +356,7 @@ def test_criterion_9_qualitative_replication_as_specified():
                    degree_mean=24.0, degree_sigma=8.0, seed=7)
     )
     ks = list(range(1, 31))
-    result = run_sweep(inst, ks, ["gus", "set-cover-baseline"], [7])
+    result = run_sweep(inst, ks, ["gus", "set-cover-baseline"], 7)
     rows = {(r.algorithm, r.k): r for r in result.rows}
     gus_rows = [rows[("gus", k)] for k in ks]
     scb_rows = [rows[("set-cover-baseline", k)] for k in ks]

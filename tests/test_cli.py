@@ -52,6 +52,22 @@ def test_validate_command(tiny_instance_path, tmp_path, capsys):
     assert "user_count" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "{instance}", "--k-range", "1:2", "--route", "matrix"],
+    ["sweep", "{instance}", "--k-range", "1:2", "--seeds", "1,2"],
+    ["validate", "{instance}", "--cap", "5"],
+    ["validate", "{instance}", "--seed", "3"],
+    ["gen", "--mode", "synthetic-random", "--format", "json"],
+    ["ingest", "-", "--route", "both"],
+])
+def test_options_a_command_does_not_read_are_rejected(tiny_instance_path, argv, capsys):
+    argv = [tiny_instance_path if a == "{instance}" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_solve_static_csv_row(tiny_instance_path, capsys):
     assert main(["solve-static", tiny_instance_path, "-k", "1", "--route", "both"]) == 0
     captured = capsys.readouterr()
@@ -112,15 +128,16 @@ def test_crosscheck_failure_exit_code(tiny_instance_path, capsys, monkeypatch):
 def test_sweep_row_count_schema_and_determinism(tiny_instance_path, capsys):
     argv = [
         "sweep", tiny_instance_path, "--k-range", "1:3",
-        "--algorithms", "gus,set-cover-baseline,no-broadcast,bound", "--seeds", "1",
+        "--algorithms", "gus,set-cover-baseline,no-broadcast,bound", "--seed", "1",
     ]
     assert main(argv) == 0
     first = capsys.readouterr().out
     lines = first.strip().splitlines()
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + 12  # 3 budgets x 4 algorithms x 1 seed
+    assert len(lines) == 1 + 12  # 3 budgets x 4 algorithms
     for line in lines[1:]:
         cols = line.split(",")
+        assert cols[7] == "1"
         ratio = float(cols[4])
         assert 0.0 < ratio <= 1.0
     bound_rows = [l for l in lines[1:] if l.split(",")[1] == "bound"]
@@ -133,18 +150,19 @@ def test_sweep_row_count_schema_and_determinism(tiny_instance_path, capsys):
 def test_sweep_rows_sorted_and_json(tiny_instance_path, capsys):
     argv = [
         "sweep", tiny_instance_path, "--k-range", "1:2",
-        "--algorithms", "no-broadcast,gus", "--seeds", "2,1", "--format", "json",
+        "--algorithms", "no-broadcast,gus", "--seed", "2", "--format", "json",
     ]
     assert main(argv) == 0
     rows = json.loads(capsys.readouterr().out)
-    keys = [(r["k"], r["algorithm"], r["seed"]) for r in rows]
+    keys = [(r["k"], r["algorithm"]) for r in rows]
     assert keys == sorted(keys)
-    assert len(rows) == 8
+    assert len(rows) == 4
+    assert {r["seed"] for r in rows} == {2}
 
 
 def test_sweep_gus_beats_bound_on_tiny_instance(tiny_instance_path):
     inst = ps.load_instance(tiny_instance_path)
-    report = run_sweep(inst, [1, 2, 3], ["gus", "bound"], [0])
+    report = run_sweep(inst, [1, 2, 3], ["gus", "bound"], 0)
     by = {(r.algorithm, r.k): r for r in report.rows}
     # exhaustively checkable here: greedy is optimal on this instance
     for k in (1, 2, 3):

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import poishare as ps
 from poishare.welfare import phi_walks_matrix, phi_walks_set
@@ -33,9 +35,9 @@ def test_phi_set_oracle_path3():
 def test_phi_empty_matrix_path3():
     inst = path3()
     a = ps.sensing_matrix(inst)
-    assert a.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    assert a.toarray().tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     b = ps.social_matrix(inst)
-    assert b.entries.tolist() == np.eye(3).tolist()
+    assert b.toarray().tolist() == np.eye(3).tolist()
     empty = ps.phi_empty_matrix(inst)
     assert empty.per_user == (1.0, 2.0, 1.0)
     # one social edge: shared edge counted twice, then corrected
@@ -52,11 +54,10 @@ def test_phi_selection_matrix_path3():
 
 def test_social_matrix_update_marks_rows_not_columns():
     inst = path3(social_edges=((0, 1),))
-    b = ps.social_matrix(inst).with_rows_set((2,))
-    assert b.updated_rows == {2}
-    assert b.entries[2].tolist() == [1.0, 1.0, 1.0]
-    assert b.entries[:, 2].tolist() == [0.0, 0.0, 1.0]
-    assert not np.array_equal(b.entries, b.entries.T)
+    b = ps.social_matrix(inst, broadcast_rows=(2,)).toarray()
+    assert b[2].tolist() == [1.0, 1.0, 1.0]
+    assert b[:, 2].tolist() == [0.0, 0.0, 1.0]
+    assert not np.array_equal(b, b.T)
 
 
 def test_phi_preferences_matrix_examples():
@@ -148,14 +149,16 @@ def test_self_loop_counting_matches_oracle():
 
 def test_column_sum_double_counts_and_minor_corrects():
     # Road classification: an edge inside the reach set is counted twice by
-    # the column sum, a boundary edge once, an outside edge not at all; the
-    # minor term equals twice the inside-edge weight.
+    # d B (the column sums of A B), a boundary edge once, an outside edge not
+    # at all; colsum(B o (A B)) equals twice the inside-edge weight.
     rng = random.Random(104)
     for _ in range(100):
         inst = random_instance(rng, max_users=7, max_extra_nodes=2)
         a = ps.sensing_matrix(inst)
         b = ps.social_matrix(inst)
-        c = a @ b.entries
+        d = a.toarray().sum(axis=1)
+        column_sums = d @ b.toarray()
+        minor_sums = (b.toarray() * (a @ b).toarray()).sum(axis=0)
         for x in range(inst.user_count):
             reach = {x} | ps.social_neighborhood(inst, x)
             inside = boundary = 0
@@ -165,10 +168,41 @@ def test_column_sum_double_counts_and_minor_corrects():
                     inside += 1
                 elif hits == 1:
                     boundary += 1
-            assert c[:, x].sum() == 2 * inside + boundary
-            members = sorted(reach)
-            minor = a[np.ix_(members, members)]
-            assert minor.sum() == 2 * inside
+            assert column_sums[x] == 2 * inside + boundary
+            assert minor_sums[x] == 2 * inside
+
+
+def test_matrix_route_is_sparse_and_exact():
+    # A synthetic-random instance with non-user nodes at hop radius 2, and
+    # the golden 40-location instance.
+    spread = ps.synth_instance(ps.GenSpec(
+        mode="synthetic-random", node_count=30, user_count=20, edge_prob=0.15,
+        degree_mean=3.0, degree_sigma=1.0, seed=11,
+    ))
+    spread = dataclasses.replace(spread, social_hop_radius=2)
+    golden = ps.synth_instance(ps.GenSpec(mode="gowalla-like", node_count=40, seed=7))
+    assert spread.user_count < spread.node_count
+    rng = random.Random(109)
+    visited_non_users = False
+    for inst in (spread, golden):
+        m = inst.user_count
+        a = ps.sensing_matrix(inst)
+        assert sparse.issparse(a)
+        assert a.nnz <= 2 * inst.sensing.edge_count
+        reach_entries = sum(1 + len(ps.social_neighborhood(inst, x)) for x in range(m))
+        for rows in ((), (0,), tuple(rng.sample(range(inst.node_count), 5))):
+            b = ps.social_matrix(inst, broadcast_rows=rows)
+            assert sparse.issparse(b)
+            assert b.nnz <= reach_entries + len(rows) * m
+        for k in (0, 1, 3, m // 2, m):
+            sel = ps.Selection(tuple(rng.sample(range(m), k)))
+            assert ps.phi_selection_matrix(inst, sel) == ps.phi_set_oracle(inst, sel)
+        space = ps.enumerate_walks(inst, 2)
+        for k in (1, 4, 10):
+            walks = ps.WalkSet(tuple(rng.sample(list(space.candidates), k)), augmentation=k)
+            assert phi_walks_matrix(inst, walks) == phi_walks_set(inst, walks)
+            visited_non_users |= max(walks.visited_nodes) >= m
+    assert visited_non_users
 
 
 def test_update_order_does_not_matter():
