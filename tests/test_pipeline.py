@@ -196,3 +196,43 @@ def test_ingest_instance_end_to_end():
     assert ps.validate(inst) == []
     with pytest.raises(ps.InputError):
         ps.ingest_instance(records, ps.BoundingBox(0, 1, 0, 1), 5, 2, 3.0, 1.0, 5)
+
+
+def _clumped_checkin_lines(seed: int, count: int = 1500, spots: int = 30) -> list[str]:
+    """Check-ins around ``spots`` Gaussian hotspots, the rest uniform over
+    a 0.1-degree box, with coordinates at six decimals as in real dumps."""
+    rng = random.Random(seed)
+    centres = [(rng.uniform(30.20, 30.30), rng.uniform(-97.80, -97.70)) for _ in range(spots)]
+    lines = []
+    for i in range(count):
+        if rng.random() < 0.6:
+            lat0, lon0 = centres[rng.randrange(spots)]
+            lat, lon = rng.gauss(lat0, 0.002), rng.gauss(lon0, 0.002)
+        else:
+            lat, lon = rng.uniform(30.20, 30.30), rng.uniform(-97.80, -97.70)
+        lines.append(f"u{rng.randrange(300)}\t2010-01-01T00:00:00Z\t{lat:.6f}\t{lon:.6f}\tl{i}\n")
+    return lines
+
+
+# SHA-256 of the `ingest` output and its road count, pinned so that a
+# rewrite of the clustering or road geometry must keep the same bits.  At
+# knn=1 the k-NN graph of seed 12 splits into 111 components, so the
+# component join decides most of its roads.
+@pytest.mark.parametrize("seed, knn, digest, road_count", [
+    (11, 4, "aa20f83d8d85f6739e2de92ce76073041daa480c61757c328f317019936b3c80", 930),
+    (12, 1, "b6bb36ac57f183fef5696c568dbfd928feb9d165460c0bf6b829106cd4d95eef", 399),
+])
+def test_ingest_output_is_frozen(tmp_path, seed, knn, digest, road_count):
+    import hashlib
+    from poishare.cli import main
+
+    checkins = tmp_path / "checkins.tsv"
+    checkins.write_text("".join(_clumped_checkin_lines(seed)), encoding="utf-8")
+    out = tmp_path / "instance.json"
+    argv = ["ingest", str(checkins), "--clusters", "400", "--knn", str(knn),
+            "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    instance = ps.load_instance(out)
+    assert instance.node_count == 400
+    assert len(instance.sensing.edges) == road_count
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
