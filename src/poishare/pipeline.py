@@ -6,6 +6,13 @@ connect the locations with a symmetrized k-nearest-neighbor road graph
 (patched to a single component), and overlay a random social graph whose
 degrees follow a clipped Gaussian.  Every generator is deterministic in
 its seed.
+
+Every distance is ``haversine_km`` on the two points in index order, so a
+pair has the same bits whether a dense matrix or a row of scipy's
+condensed (upper-triangle) vector holds it.  Clustering computes each
+pair once, into the condensed vector; scipy's ``linkage`` is imported
+only when a clustering runs, so no other command loads ``scipy.cluster``
+or ``scipy.spatial``.
 """
 
 from __future__ import annotations
@@ -15,8 +22,6 @@ from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import squareform
 
 from .errors import InputError
 from .model import Instance, SensingGraph, SocialGraph, validate
@@ -124,16 +129,25 @@ def haversine_km(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
 
 
-def _pairwise_haversine(coords: np.ndarray) -> np.ndarray:
-    lat = coords[:, 0][:, None]
-    lon = coords[:, 1][:, None]
-    return haversine_km(lat, lon, lat.T, lon.T)
+def _condensed_haversine(coords: np.ndarray) -> np.ndarray:
+    """Distances of all pairs i < j in scipy's condensed order, filled one
+    row at a time: entry (i, j) is ``haversine_km(point i, point j)``."""
+    lat, lon = coords[:, 0], coords[:, 1]
+    n = len(coords)
+    out = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        out[start:stop] = haversine_km(lat[i], lon[i], lat[i + 1:], lon[i + 1:])
+        start = stop
+    return out
 
 
 def cluster_locations(checkins, target_count: int):
     """Agglomerate check-in coordinates into exactly ``target_count``
-    clusters (average-linkage over haversine distance), replaying the
-    merge order so the count is hit exactly even with tied distances.
+    clusters (average-linkage over the condensed haversine distances),
+    replaying the merge order so the count is hit exactly even with tied
+    distances.
 
     Returns (centroids, assignment): centroid latitude/longitude pairs in
     order of each cluster's first member, and a cluster index per check-in.
@@ -152,9 +166,11 @@ def cluster_locations(checkins, target_count: int):
 
     parent = list(range(n))
     if n > 1 and target_count < n:
-        dense = _pairwise_haversine(coords)
-        np.fill_diagonal(dense, 0.0)
-        merges = linkage(squareform(dense, checks=False), method="average")
+        # Deferred: scipy.cluster pulls in scipy.spatial and scipy.linalg,
+        # which no other command needs.
+        from scipy.cluster.hierarchy import linkage
+
+        merges = linkage(_condensed_haversine(coords), method="average")
         roots = list(range(n)) + [0] * (n - 1)  # root member of each linkage cluster
         for step in range(n - target_count):
             a, b = int(merges[step, 0]), int(merges[step, 1])
@@ -184,36 +200,52 @@ def cluster_locations(checkins, target_count: int):
 def build_roads(locations, knn: int) -> tuple[tuple[int, int], ...]:
     """Symmetrized k-nearest-neighbor road graph over lat/lon locations,
     then the minimum number of shortest cross-component edges to make it
-    connected.  An edge is kept when either endpoint picks the other."""
+    connected.
+
+    Each location picks its ``knn`` nearest others, ties going to the lower
+    index; an edge is kept when either endpoint picks the other.  The join
+    is Kruskal's pass over all pairs in (distance, i, j) order, which adds
+    the shortest remaining cross-component pair until one component is
+    left."""
     if knn < 1:
         raise InputError(f"knn must be >= 1, got {knn}")
     n = len(locations)
     if n < 2:
         raise InputError(f"need at least 2 locations to build roads, got {n}")
     coords = np.asarray(locations, dtype=np.float64)
-    dist = _pairwise_haversine(coords)
+    lat, lon = coords[:, 0][:, None], coords[:, 1][:, None]
+    dist = haversine_km(lat, lon, lat.T, lon.T)
     np.fill_diagonal(dist, np.inf)
 
-    edges: set[tuple[int, int]] = set()
-    for i in range(n):
-        order = np.lexsort((np.arange(n), dist[i]))
-        for j in order[: min(knn, n - 1)]:
-            edges.add((min(i, int(j)), max(i, int(j))))
+    # Keep every entry up to each row's k-th smallest distance, order the
+    # kept ones by (row, distance, column) and take the first k per row.
+    k = min(knn, n - 1)
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(dist <= kth[:, None])
+    order = np.lexsort((cols, dist[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    rows, cols = rows[rank < k], cols[rank < k]
+    edges = set(zip(np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()))
 
     parent = list(range(n))
+    components = n
     for u, v in edges:
-        parent[_find(parent, u)] = _find(parent, v)
-    while len({_find(parent, i) for i in range(n)}) > 1:
-        best = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _find(parent, i) != _find(parent, j):
-                    key = (dist[i, j], i, j)
-                    if best is None or key < best:
-                        best = key
-        _, i, j = best
-        edges.add((i, j))
-        parent[_find(parent, i)] = _find(parent, j)
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+            components -= 1
+    if components > 1:
+        first, second = np.triu_indices(n, 1)
+        by_distance = np.argsort(dist[first, second], kind="stable")
+        for i, j in zip(first[by_distance].tolist(), second[by_distance].tolist()):
+            ri, rj = _find(parent, i), _find(parent, j)
+            if ri != rj:
+                edges.add((i, j))
+                parent[ri] = rj
+                components -= 1
+                if components == 1:
+                    break
     return tuple(sorted(edges))
 
 

@@ -291,3 +291,44 @@ def reference_exact_max_coverage(instance: ps.Instance, k: int, pool=None,
 
     dfs(0, [], np.zeros(instance.sensing.edge_count, dtype=bool), 0.0)
     return best_pick, best_value
+
+
+def reference_build_roads(locations, knn: int) -> tuple[tuple[int, int], ...]:
+    """``build_roads`` as first written, as its oracle: a dense distance
+    matrix, one ``lexsort`` by (distance, index) per row for the k-NN
+    picks, then per extra component a full scan of all pairs for the
+    shortest (distance, i, j) cross-component one.  The join is O(n^3) in
+    the worst case: use it on small point sets only."""
+    coords = np.asarray(locations, dtype=np.float64)
+    n = len(coords)
+    lat, lon = coords[:, 0][:, None], coords[:, 1][:, None]
+    dist = ps.haversine_km(lat, lon, lat.T, lon.T)
+    np.fill_diagonal(dist, np.inf)
+
+    edges: set[tuple[int, int]] = set()
+    for i in range(n):
+        order = np.lexsort((np.arange(n), dist[i]))
+        for j in order[: min(knn, n - 1)]:
+            edges.add((min(i, int(j)), max(i, int(j))))
+
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    while len({find(i) for i in range(n)}) > 1:
+        best = None
+        for i in range(n):
+            for j in range(i + 1, n):
+                if find(i) != find(j):
+                    key = (dist[i, j], i, j)
+                    if best is None or key < best:
+                        best = key
+        _, i, j = best
+        edges.add((i, j))
+        parent[find(i)] = find(j)
+    return tuple(sorted(edges))
