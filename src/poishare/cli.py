@@ -24,6 +24,7 @@ from .model import Instance, Selection, validate
 from .pipeline import BoundingBox, GenSpec, ingest_instance, parse_checkins, synth_instance
 from .static_solver import (
     greedy_max_coverage,
+    greedy_user_trace,
     gus,
     phi_empty,
     static_bound,
@@ -116,7 +117,10 @@ def run_sweep(
     """One report row per (k, algorithm).
 
     Static algorithms exploit the greedy prefix property: one run at
-    max(ks) yields every smaller budget's solution.  ``seed`` does not
+    max(ks) yields every smaller budget's solution.  ``gus`` rows read the
+    welfare after each pick straight from ``greedy_user_trace``, so its
+    selection is never re-evaluated; the coverage baseline's picks are
+    replayed through a ``CoverageState``.  ``seed`` does not
     affect the deterministic solvers; it is recorded in every row for
     provenance.  Upper bounds are computed once per k,
     on one base welfare, before any algorithm's timer starts, so
@@ -143,10 +147,7 @@ def run_sweep(
         t0 = time.monotonic()
         per_k: dict[int, tuple[float, float, float]] = {}  # k -> welfare, ub, bound
         if algorithm == "gus":
-            result = gus(instance, k_max)
-            welfares = _static_prefix_welfares(
-                instance, [u for u, _ in result.trace], k_max
-            )
+            _, welfares = greedy_user_trace(instance, k_max)
             for k in ks:
                 per_k[k] = (welfares[k - 1], static_upper[k], static_bound(k, m))
         elif algorithm == "set-cover-baseline":

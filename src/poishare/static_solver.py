@@ -34,13 +34,15 @@ class StaticResult:
     trace: tuple[tuple[int, float], ...]
 
 
-def gus(instance: Instance, k: int, route: str = "set") -> StaticResult:
-    """Greedy user selection: k rounds, each picking the unselected user
-    with the largest marginal welfare, ties to the lowest index.
+def greedy_user_trace(
+    instance: Instance, k: int
+) -> tuple[tuple[tuple[int, float], ...], list[float]]:
+    """The greedy loop behind ``gus``: k rounds, each picking the unselected
+    user with the largest marginal welfare, ties to the lowest index.
 
-    ``route`` picks how the final welfare is evaluated ('set', 'matrix',
-    or 'both' with cross-checking); candidate scoring always uses the
-    incremental set route, whose gains match either route exactly.
+    Returns the trace, one ``(user, gain)`` per round, and the average
+    welfare after each pick.  Greedy picks are prefix-stable, so one run
+    at the largest budget serves every smaller one.
 
     Each user is priced with ``CoverageState.gain_from_nodes``, one call
     per unselected user per round, rather than by ``greedy_cover``: the
@@ -52,6 +54,7 @@ def gus(instance: Instance, k: int, route: str = "set") -> StaticResult:
 
     state = CoverageState(instance)
     trace: list[tuple[int, float]] = []
+    averages: list[float] = []
     chosen: set[int] = set()
     for _ in range(k):
         gains = [-1.0 if v in chosen else state.gain_from_nodes((v,)) for v in range(m)]
@@ -59,9 +62,23 @@ def gus(instance: Instance, k: int, route: str = "set") -> StaticResult:
         state.add_nodes((user,))
         chosen.add(user)
         trace.append((user, gains[user]))
+        averages.append(state.average())
+    return tuple(trace), averages
+
+
+def gus(instance: Instance, k: int, route: str = "set") -> StaticResult:
+    """Greedy user selection: ``greedy_user_trace``'s k picks, with their
+    welfare evaluated through ``route``.
+
+    ``route`` picks how the final welfare is evaluated ('set', 'matrix',
+    or 'both' with cross-checking); candidate scoring always uses the
+    incremental set route, whose gains match either route exactly.  The
+    loop makes one ``gain_from_nodes`` call per unselected user per round.
+    """
+    trace, _ = greedy_user_trace(instance, k)
     selection = Selection(tuple(user for user, _ in trace))
     welfare = evaluate_selection(instance, selection, route=route)
-    return StaticResult(selection=selection, welfare=welfare, trace=tuple(trace))
+    return StaticResult(selection=selection, welfare=welfare, trace=trace)
 
 
 def brute_force_static(

@@ -83,13 +83,6 @@ def _access_base(instance: Instance) -> list[set[int]]:
     ]
 
 
-def _edge_weight_sum(instance: Instance, edge_ids, interest: frozenset[int] | None) -> float:
-    g1 = instance.sensing
-    if interest is None:
-        return float(sum(g1.weight(e) for e in edge_ids))
-    return float(sum(g1.weight(e) for e in edge_ids if e in interest))
-
-
 def broadcast_breakdown(instance: Instance, broadcast_nodes) -> WelfareBreakdown:
     """Welfare when the nodes in ``broadcast_nodes`` are shared with everyone.
 
@@ -98,12 +91,16 @@ def broadcast_breakdown(instance: Instance, broadcast_nodes) -> WelfareBreakdown
     """
     g1 = instance.sensing
     prefs = instance.preferences
+    weight = g1.weight_vector.tolist().__getitem__
     extra = set(broadcast_nodes)
     per_user = []
     for i, base in enumerate(_access_base(instance)):
         edge_ids = incident_edges(g1, base | extra)
-        interest = prefs.per_user_edges[i] if prefs is not None else None
-        per_user.append(_edge_weight_sum(instance, edge_ids, interest))
+        if prefs is not None:
+            # a generator keeps the set's iteration order; an intersection may not
+            interest = prefs.per_user_edges[i]
+            edge_ids = (e for e in edge_ids if e in interest)
+        per_user.append(float(sum(map(weight, edge_ids))))
     return WelfareBreakdown.from_per_user(per_user)
 
 
@@ -321,10 +318,16 @@ class CoverageState:
         self._node_edges = np.split(g1.incidence.indices.astype(np.intp), g1.incidence.indptr[1:-1])
 
     def _new_edges(self, nodes) -> np.ndarray:
+        """Sorted ids of the roads ``nodes`` touch that are not yet covered.
+
+        One node's row is already sorted and unique (``incident`` lists
+        roads in increasing order, a self-loop once), which is what
+        ``np.unique`` would return, so only several rows go through it.
+        """
         rows = [self._node_edges[v] for v in nodes]
         if not rows:
             return np.empty(0, dtype=np.intp)
-        ids = np.unique(np.concatenate(rows))
+        ids = rows[0] if len(rows) == 1 else np.unique(np.concatenate(rows))
         return ids[~self._covered[ids]]
 
     def gain_from_nodes(self, nodes) -> float:

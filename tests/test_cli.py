@@ -6,6 +6,7 @@ import pytest
 
 import poishare as ps
 from poishare.cli import CSV_HEADER, main, run_sweep
+from util import mixed_instances
 
 
 @pytest.fixture()
@@ -225,6 +226,36 @@ def test_sweep_computes_the_base_welfare_once(tiny_instance_path, capsys, monkey
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 9
     assert len(calls) == 1
+
+
+def test_sweep_evaluates_the_base_welfare_and_no_gus_selection(tiny_instance_path, capsys,
+                                                                monkeypatch):
+    real_breakdown = ps.welfare.broadcast_breakdown
+    calls = []
+
+    def counted_breakdown(instance, broadcast_nodes):
+        calls.append(tuple(broadcast_nodes))
+        return real_breakdown(instance, broadcast_nodes)
+
+    for module in (ps.welfare, ps.static_solver):
+        monkeypatch.setattr(module, "broadcast_breakdown", counted_breakdown)
+    argv = ["sweep", tiny_instance_path, "--k-range", "1:3", "--algorithms", "gus",
+            "--format", "json"]
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 3
+    assert calls == [()]
+
+
+def test_sweep_gus_welfares_equal_a_replay_of_the_gus_trace():
+    for inst in mixed_instances(134, 30):
+        k_max = min(inst.user_count, 12)
+        report = run_sweep(inst, list(range(1, k_max + 1)), ["gus"], 0, cap=200)
+        state = ps.CoverageState(inst)
+        replayed = []
+        for user, _ in ps.gus(inst, k_max).trace:
+            state.add_nodes((user,))
+            replayed.append(state.average())
+        assert [row.welfare for row in report.sorted_rows()] == replayed
 
 
 def test_solve_mobile_refuses_long_walks_up_front(tmp_path, capsys):

@@ -9,6 +9,7 @@ from util import (
     assert_greedy_rounds,
     coverage_total,
     exact_total,
+    mixed_instances,
     random_instance,
     reference_exact_max_coverage,
     reference_greedy,
@@ -63,6 +64,15 @@ def test_gus_trace_gains_non_increasing():
         result = ps.gus(inst, inst.user_count)
         gains = [g for _, g in result.trace]
         assert all(a >= b - 1e-12 for a, b in zip(gains, gains[1:]))
+
+
+def test_gus_trace_is_a_prefix_of_the_largest_budget():
+    for inst in mixed_instances(135, 30):
+        k_max = min(inst.user_count, 12)
+        full = ps.gus(inst, k_max).trace
+        assert len(full) == k_max
+        for k in range(1, k_max):
+            assert ps.gus(inst, k).trace == full[:k]
 
 
 def test_gus_selection_invariant_to_evaluation_route():

@@ -8,7 +8,15 @@ from scipy import sparse
 
 import poishare as ps
 from poishare.welfare import phi_walks_matrix, phi_walks_set
-from util import exact_total, naive_phi, random_instance
+from util import (
+    exact_total,
+    golden_instance,
+    mixed_instances,
+    naive_phi,
+    random_instance,
+    reference_broadcast_breakdown,
+    reweighted,
+)
 
 
 def path3(social_edges=(), **kw):
@@ -288,6 +296,61 @@ def test_coverage_state_matches_oracle():
             assert state.average() == pytest.approx(
                 ps.broadcast_breakdown(inst, added).average
             )
+
+
+def _random_walk(inst, rng, steps):
+    nodes = [rng.randrange(inst.node_count)]
+    for _ in range(steps):
+        step = inst.sensing.neighbors[nodes[-1]]
+        if not step:
+            break
+        nodes.append(rng.choice(step))
+    return tuple(nodes)
+
+
+def test_gain_from_nodes_equals_the_unique_of_its_rows():
+    # prices are compared with ==: the single-node path must give the same
+    # ids in the same order as np.unique, so every gain sum has the same bits
+    rng = random.Random(132)
+    for inst in mixed_instances(131, 60):
+        state = ps.CoverageState(inst)
+        incident = inst.sensing.incident
+        covered = np.zeros(inst.sensing.edge_count, dtype=bool)
+
+        def expected(nodes):
+            rows = [np.array(incident[v], dtype=np.intp) for v in nodes]
+            ids = np.unique(np.concatenate(rows))
+            ids = ids[~covered[ids]]
+            return float(state.gain[ids].sum()) / state.m
+
+        for _ in range(4):
+            for v in range(inst.node_count):
+                assert state.gain_from_nodes((v,)) == expected((v,))
+            for _ in range(10):
+                walk = _random_walk(inst, rng, rng.randint(1, 4))
+                assert state.gain_from_nodes(walk) == expected(walk)
+            added = _random_walk(inst, rng, rng.randint(0, 2))
+            state.add_nodes(added)
+            for v in added:
+                covered[list(incident[v])] = True
+
+
+def test_broadcast_breakdown_equals_the_per_road_reference():
+    rng = random.Random(133)
+    instances = [
+        random_instance(rng, max_users=8, max_extra_nodes=3, with_prefs=True,
+                        with_weights=True, with_loops=rng.random() < 0.5, max_radius=2)
+        for _ in range(40)
+    ]
+    # an instance drawn without roads has no weights to sum
+    instances = [inst for inst in instances if inst.sensing.edge_weights is not None]
+    instances.append(reweighted(golden_instance(), rng))
+    assert len(instances) > 30
+    for inst in instances:
+        broadcasts = [(), tuple(rng.sample(range(inst.node_count), rng.randint(1, inst.node_count)))]
+        for nodes in broadcasts:
+            got = ps.broadcast_breakdown(inst, nodes)
+            assert got == reference_broadcast_breakdown(inst, nodes), nodes
 
 
 def test_crosscheck_raises_on_divergence():

@@ -157,6 +157,66 @@ def naive_phi(instance: ps.Instance, broadcast_nodes) -> float:
     return total / instance.user_count
 
 
+def reference_broadcast_breakdown(instance: ps.Instance, broadcast_nodes) -> ps.WelfareBreakdown:
+    """``broadcast_breakdown`` as first written, as its oracle: one
+    ``weight(e)`` call per road per user, summed in the iteration order of
+    the same access sets."""
+    g1 = instance.sensing
+    prefs = instance.preferences
+    extra = set(broadcast_nodes)
+    per_user = []
+    for i in range(instance.user_count):
+        base = {i} | ps.social_neighborhood(instance, i)
+        edge_ids = ps.incident_edges(g1, base | extra)
+        if prefs is None:
+            per_user.append(float(sum(g1.weight(e) for e in edge_ids)))
+        else:
+            interest = prefs.per_user_edges[i]
+            per_user.append(float(sum(g1.weight(e) for e in edge_ids if e in interest)))
+    return ps.WelfareBreakdown.from_per_user(per_user)
+
+
+def golden_instance() -> ps.Instance:
+    """The seeded 40-location instance behind ``tests/golden``."""
+    return ps.synth_instance(ps.GenSpec(mode="gowalla-like", node_count=40, seed=7))
+
+
+def reweighted(instance: ps.Instance, rng: random.Random) -> ps.Instance:
+    """``instance`` with random road weights and random interest sets, each
+    holding the user's own roads and about half of the others."""
+    g1 = instance.sensing
+    sensing = ps.SensingGraph(
+        node_count=g1.node_count,
+        user_count=g1.user_count,
+        edges=g1.edges,
+        edge_weights=tuple(rng.uniform(0.1, 5.0) for _ in g1.edges),
+        allow_self_loops=g1.allow_self_loops,
+    )
+    prefs = ps.PreferenceProfile(tuple(
+        frozenset(g1.incident[i]) | {e for e in range(g1.edge_count) if rng.random() < 0.5}
+        for i in range(g1.user_count)
+    ))
+    return ps.Instance(sensing=sensing, social=instance.social, preferences=prefs,
+                       social_hop_radius=instance.social_hop_radius)
+
+
+def mixed_instances(seed: int, count: int) -> list[ps.Instance]:
+    """``count`` seeded random instances of every kind (weights, self-loops,
+    preferences, non-user nodes, hop radius 2), then the golden instance
+    plain and reweighted."""
+    rng = random.Random(seed)
+    instances = [
+        random_instance(
+            rng, max_users=8, max_extra_nodes=3, max_radius=2,
+            with_prefs=rng.random() < 0.5, with_weights=rng.random() < 0.5,
+            with_loops=rng.random() < 0.5,
+        )
+        for _ in range(count)
+    ]
+    golden = golden_instance()
+    return instances + [golden, reweighted(golden, rng)]
+
+
 def exact_total(breakdown: ps.WelfareBreakdown) -> int:
     """Sum of per-user utilities as an exact integer (uniform weights)."""
     total = breakdown.average * len(breakdown.per_user)
