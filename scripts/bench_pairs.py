@@ -1,0 +1,133 @@
+"""Paired benchmark runs of two checkouts, written as one ``BENCH_*.json``.
+
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_name.json \\
+        --claim TEXT WORKLOAD:PAIRS [WORKLOAD:PAIRS ...]
+
+For each ``WORKLOAD:PAIRS`` it runs, for seeds 1..PAIRS,
+
+    python3 perfbench/run.py --workload WORKLOAD --seed N --seconds S --trace 0
+
+from the root of each checkout, the parent first on odd seeds and the
+change first on even ones, one run at a time.  ``S`` is ``run_seconds`` of
+the change's ``BENCHMARK.json``.  Per workload the file records every run,
+each side's medians, the quartiles of each side's ``wall_s`` and the
+number of pairs in which the change's ``wall_s`` is lower.  Only the
+standard library is used, so the script runs before either checkout's
+dependencies are imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.metadata
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HOW = ("each command run from the root of a checkout of the parent and of the change, "
+       "in pairs, alternating which side ran first (odd seeds: parent first)")
+
+
+def _cpu_name() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def _host() -> dict:
+    host = {"vcpus": os.cpu_count(), "cpu": _cpu_name(), "python": platform.python_version()}
+    for package in ("numpy", "scipy"):
+        try:
+            host[package] = importlib.metadata.version(package)
+        except importlib.metadata.PackageNotFoundError:
+            host[package] = None
+    return host
+
+
+def _commit(checkout: Path) -> str | None:
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        return None
+    return done.stdout.strip()
+
+
+def _run(checkout: Path, argv: list[str]) -> dict:
+    """One benchmark run: its ``correct``/``attempted``/``failed`` and the
+    value of each end-to-end metric, from the last line of stdout."""
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        sys.exit(f"{' '.join(argv)} failed in {checkout} (exit {done.returncode}):\n"
+                 f"{done.stderr.strip()[-2000:]}")
+    result = json.loads(lines[-1])
+    flat = {key: result[key] for key in ("correct", "attempted", "failed")}
+    flat.update((name, metric["value"]) for name, metric in result["metrics"].items())
+    return flat
+
+
+def _pairs(workload: str, pairs: int, sides: dict[str, Path], seconds: float) -> dict:
+    runs = []
+    for seed in range(1, pairs + 1):
+        argv = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                "--seconds", f"{seconds:g}", "--trace", "0"]
+        order = ["parent", "change"] if seed % 2 else ["change", "parent"]
+        run = {"seed": seed, "command": " ".join(argv), "order": order}
+        for side in order:
+            print(f"bench_pairs: {workload} seed {seed} {side}", file=sys.stderr, flush=True)
+            run[side] = _run(sides[side], argv)
+        runs.append(run)
+    metrics = [k for k in runs[0]["parent"] if k not in ("correct", "attempted", "failed")]
+    block = {
+        "workload": workload,
+        "pairs": pairs,
+        "runs": runs,
+        "medians": {side: {m: statistics.median(r[side][m] for r in runs) for m in metrics}
+                    for side in ("parent", "change")},
+    }
+    if pairs >= 2:
+        for side in ("parent", "change"):
+            q1, _, q3 = statistics.quantiles([r[side]["wall_s"] for r in runs], n=4)
+            block[f"{side}_wall_s_quartiles"] = [q1, q3]
+    block["change_faster_wall_s_pairs"] = sum(
+        r["change"]["wall_s"] < r["parent"]["wall_s"] for r in runs)
+    return block
+
+
+def _workload_pairs(text: str) -> tuple[str, int]:
+    workload, sep, pairs = text.partition(":")
+    if not sep or not pairs.isdigit() or int(pairs) < 1:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:PAIRS, got {text!r}")
+    return workload, int(pairs)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="scripts/bench_pairs.py")
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--out", type=Path, required=True, help="the BENCH_*.json to write")
+    parser.add_argument("--claim", required=True, help="the claim the runs test")
+    parser.add_argument("workloads", nargs="+", type=_workload_pairs, metavar="WORKLOAD:PAIRS")
+    args = parser.parse_args(argv)
+
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    report = {"claim": args.claim, "parent": _commit(sides["parent"]), "how": HOW,
+              "host": _host()}
+    for workload, pairs in args.workloads:
+        report[workload] = _pairs(workload, pairs, sides, seconds)
+        args.out.write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

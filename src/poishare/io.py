@@ -23,6 +23,12 @@ from pathlib import Path
 from .errors import InputError
 from .model import Instance, PreferenceProfile, SensingGraph, SocialGraph, validate
 
+#: Largest ``node_count`` or ``user_count`` a document may declare, 100x the
+#: largest instances the solvers are sized for.  Derived tables (incidence
+#: lists, adjacency, per-node caches) are ``node_count`` long, so a few-byte
+#: document declaring more is refused before any of them is built.
+MAX_NODES = 1_000_000
+
 
 def instance_to_payload(instance: Instance) -> dict:
     payload: dict = {
@@ -45,8 +51,11 @@ def instance_from_payload(payload: dict) -> Instance:
         user_count = int(payload["user_count"])
         sensing_edges = tuple((int(u), int(v)) for u, v in payload["sensing_edges"])
         social_edges = tuple((int(u), int(v)) for u, v in payload["social_edges"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed instance document: {exc}") from exc
+    for name, count in (("node_count", node_count), ("user_count", user_count)):
+        if not 0 <= count <= MAX_NODES:
+            raise InputError(f"{name} {count} is outside [0, {MAX_NODES}]")
     weights = payload.get("edge_weights")
     prefs_raw = payload.get("preferences")
     sensing = SensingGraph(

@@ -146,6 +146,14 @@ class Instance:
     def node_count(self) -> int:
         return self.sensing.node_count
 
+    @cached_property
+    def social_reach(self) -> tuple[set[int], ...]:
+        """Per user i, ``{i} | social_neighborhood(self, i)``: the user nodes
+        whose roads i sees with nothing broadcast.  Built once and shared by
+        every reader, which keeps each set's iteration order (and with it
+        the bits of weighted sums over it): treat the sets as read-only."""
+        return tuple({i} | social_neighborhood(self, i) for i in range(self.user_count))
+
 
 @dataclass(frozen=True)
 class Selection:

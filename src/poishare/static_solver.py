@@ -46,7 +46,9 @@ def greedy_user_trace(
 
     Each user is priced with ``CoverageState.gain_from_nodes``, one call
     per unselected user per round, rather than by ``greedy_cover``: the
-    benchmark's tracer test counts those calls.
+    benchmark's tracer test counts those calls.  The state caches each
+    user's price and recomputes it only after a road the user touches is
+    covered, so after the first round almost every call is a lookup.
     """
     m = instance.user_count
     if not 1 <= k <= m:
@@ -73,7 +75,9 @@ def gus(instance: Instance, k: int, route: str = "set") -> StaticResult:
     ``route`` picks how the final welfare is evaluated ('set', 'matrix',
     or 'both' with cross-checking); candidate scoring always uses the
     incremental set route, whose gains match either route exactly.  The
-    loop makes one ``gain_from_nodes`` call per unselected user per round.
+    loop makes one ``gain_from_nodes`` call per unselected user per round;
+    each price is cached per user and recomputed only after a road the
+    user touches is covered.
     """
     trace, _ = greedy_user_trace(instance, k)
     selection = Selection(tuple(user for user, _ in trace))

@@ -49,7 +49,6 @@ from .model import (
     check_selection,
     check_walk,
     incident_edges,
-    social_neighborhood,
     zero_one_matrix,
 )
 
@@ -76,13 +75,6 @@ class WelfareBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _access_base(instance: Instance) -> list[set[int]]:
-    """Per user: her own node plus her social reach."""
-    return [
-        {i} | social_neighborhood(instance, i) for i in range(instance.user_count)
-    ]
-
-
 def broadcast_breakdown(instance: Instance, broadcast_nodes) -> WelfareBreakdown:
     """Welfare when the nodes in ``broadcast_nodes`` are shared with everyone.
 
@@ -94,7 +86,7 @@ def broadcast_breakdown(instance: Instance, broadcast_nodes) -> WelfareBreakdown
     weight = g1.weight_vector.tolist().__getitem__
     extra = set(broadcast_nodes)
     per_user = []
-    for i, base in enumerate(_access_base(instance)):
+    for i, base in enumerate(instance.social_reach):
         edge_ids = incident_edges(g1, base | extra)
         if prefs is not None:
             # a generator keeps the set's iteration order; an intersection may not
@@ -158,7 +150,7 @@ def social_matrix(instance: Instance, broadcast_rows=()) -> sparse.csr_array:
     nothing from its own broadcast, so symmetry is gone.
     """
     m = instance.user_count
-    rows = [sorted({v} | social_neighborhood(instance, v)) for v in range(m)]
+    rows = [sorted(reach) for reach in instance.social_reach]
     rows += [()] * (instance.node_count - m)
     for v in broadcast_rows:
         rows[v] = range(m)
@@ -290,6 +282,12 @@ class CoverageState:
     gain sum over roads it newly covers, which is non-negative by
     construction.  Both come from the column sums of ``access @ incidence``
     (users x roads); ``gain`` is read-only for callers.
+
+    A single node's price depends only on which of its own roads are
+    covered, so it is cached per node and recomputed only after
+    ``add_nodes`` covers a road that touches the node.  Every call is still
+    answered, so a greedy round that prices each candidate makes one call
+    per candidate; after the first round most of them are lookups.
     """
 
     def __init__(self, instance: Instance):
@@ -301,7 +299,7 @@ class CoverageState:
 
         # Users x roads in CSC form; products store true entries only, so
         # column e holds one entry per user whose own access reaches road e.
-        seen = zero_one_matrix(_access_base(instance), m).tocsc() @ g1.incidence[:m]
+        seen = zero_one_matrix(instance.social_reach, m).tocsc() @ g1.incidence[:m]
         if prefs is None:
             wanted = np.full(g1.edge_count, m)
         else:
@@ -316,6 +314,9 @@ class CoverageState:
         self._covered = np.zeros(g1.edge_count, dtype=bool)
         self._covered_gain = 0.0
         self._node_edges = np.split(g1.incidence.indices.astype(np.intp), g1.incidence.indptr[1:-1])
+        self._ends = np.array(g1.edges, dtype=np.intp).reshape(-1, 2)
+        # per node: its single-node price; None until priced and after a road it touches is covered
+        self._price: list[float | None] = [None] * instance.node_count
 
     def _new_edges(self, nodes) -> np.ndarray:
         """Sorted ids of the roads ``nodes`` touch that are not yet covered.
@@ -331,14 +332,23 @@ class CoverageState:
         return ids[~self._covered[ids]]
 
     def gain_from_nodes(self, nodes) -> float:
-        """Average-welfare increase if ``nodes`` joined the broadcast."""
-        ids = self._new_edges(nodes)
-        return float(self.gain[ids].sum()) / self.m
+        """Average-welfare increase if the sequence ``nodes`` joined the
+        broadcast.  One node's price comes from the cache while none of its
+        roads has been covered since it was computed."""
+        if len(nodes) != 1:
+            return float(self.gain[self._new_edges(nodes)].sum()) / self.m
+        (v,) = nodes
+        price = self._price[v]
+        if price is None:
+            price = self._price[v] = float(self.gain[self._new_edges(nodes)].sum()) / self.m
+        return price
 
     def add_nodes(self, nodes) -> None:
         ids = self._new_edges(nodes)
         self._covered[ids] = True
         self._covered_gain += float(self.gain[ids].sum())
+        for v in self._ends[ids].ravel().tolist():
+            self._price[v] = None
 
     def average(self) -> float:
         """Current average welfare."""

@@ -6,7 +6,7 @@ import pytest
 
 import poishare as ps
 from poishare.cli import CSV_HEADER, main, run_sweep
-from util import mixed_instances
+from util import golden_instance, mixed_instances
 
 
 @pytest.fixture()
@@ -256,6 +256,26 @@ def test_sweep_gus_welfares_equal_a_replay_of_the_gus_trace():
             state.add_nodes((user,))
             replayed.append(state.average())
         assert [row.welfare for row in report.sorted_rows()] == replayed
+
+
+def test_solve_static_builds_each_social_reach_once(tmp_path, monkeypatch, capsys):
+    # the greedy state, ub1's base welfare and both evaluation routes share
+    # one reach set per user
+    instance = golden_instance()
+    path = tmp_path / "golden.json"
+    ps.save_instance(instance, path)
+    search = ps.model.social_neighborhood
+    calls = []
+
+    def counted(inst, user):
+        calls.append(user)
+        return search(inst, user)
+
+    for module in (ps.model, ps.welfare, ps.static_solver, ps.mobile_solver, ps.cli):
+        if hasattr(module, "social_neighborhood"):
+            monkeypatch.setattr(module, "social_neighborhood", counted)
+    assert main(["solve-static", str(path), "-k", "5", "--route", "both"]) == 0
+    assert sorted(calls) == list(range(instance.user_count))
 
 
 def test_solve_mobile_refuses_long_walks_up_front(tmp_path, capsys):

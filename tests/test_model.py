@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -165,3 +169,55 @@ def test_load_instance_rejects_garbage(tmp_path):
     with pytest.raises(ps.InputError):
         ps.load_instance(p2)
     assert ps.load_instance(p2, check=False).user_count == 5
+
+
+def test_load_instance_refuses_negative_counts():
+    for field in ("node_count", "user_count"):
+        payload = {"node_count": 3, "user_count": 2, "sensing_edges": [], "social_edges": []}
+        payload[field] = -1
+        with pytest.raises(ps.InputError, match=field):
+            ps.loads_instance(json.dumps(payload), check=False)
+
+
+def test_load_instance_refuses_huge_counts_before_building_tables(tmp_path):
+    # Run in a child whose address space is capped a little above what the
+    # import uses: a check that ran after the node tables were built would
+    # fail there with MemoryError instead of exhausting the host.
+    script = """
+import json, resource, sys
+import poishare as ps
+from poishare.cli import main
+
+with open("/proc/self/statm") as fh:
+    in_use = int(fh.read().split()[0]) * resource.getpagesize()
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = in_use + (256 << 20)
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+path = sys.argv[1]
+codes = []
+for doc in ('{"node_count": 1e9, "user_count": 1, "sensing_edges": [], "social_edges": []}',
+            '{"node_count": 2, "user_count": 1e9, "sensing_edges": [], "social_edges": []}',
+            '{"node_count": Infinity, "user_count": 1, "sensing_edges": [], "social_edges": []}'):
+    try:
+        ps.loads_instance(doc, check=False)
+        codes.append("loaded")
+    except ps.InputError as exc:
+        codes.append(str(exc))
+    with open(path, "w") as fh:
+        fh.write(doc)
+    codes.append(main(["validate", path]))
+print(json.dumps(codes))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "huge.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes = json.loads(done.stdout.splitlines()[-1])
+    assert codes[0] == f"node_count 1000000000 is outside [0, {ps.io.MAX_NODES}]"
+    assert codes[2] == f"user_count 1000000000 is outside [0, {ps.io.MAX_NODES}]"
+    assert codes[4].startswith("malformed instance document")
+    assert codes[1::2] == [1, 1, 1]

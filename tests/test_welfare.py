@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import poishare as ps
@@ -333,6 +334,63 @@ def test_gain_from_nodes_equals_the_unique_of_its_rows():
             state.add_nodes(added)
             for v in added:
                 covered[list(incident[v])] = True
+
+
+@st.composite
+def _coverage_cases(draw):
+    """An instance with optional weights, self-loops, preferences and
+    non-user nodes, and a run of price and add calls on it."""
+    m = draw(st.integers(1, 6))
+    nn = m + draw(st.integers(0, 3))
+    pairs = [(u, v) for u in range(nn) for v in range(u, nn)]
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)))
+    weights = None
+    if edges and draw(st.booleans()):
+        weights = tuple(draw(st.lists(st.floats(0.1, 5.0), min_size=len(edges),
+                                      max_size=len(edges))))
+    sensing = ps.SensingGraph(node_count=nn, user_count=m, edges=edges, edge_weights=weights,
+                              allow_self_loops=True)
+    friends = list(combinations(range(m), 2))
+    social = ps.SocialGraph(user_count=m, edges=tuple(
+        draw(st.lists(st.sampled_from(friends), unique=True)) if friends else ()))
+    prefs = None
+    if edges and draw(st.booleans()):
+        extra = st.sets(st.integers(0, len(edges) - 1))
+        prefs = ps.PreferenceProfile(tuple(
+            frozenset(sensing.incident[i]) | draw(extra) for i in range(m)))
+    instance = ps.Instance(sensing=sensing, social=social, preferences=prefs,
+                           social_hop_radius=draw(st.integers(1, 2)))
+    nodes = st.lists(st.integers(0, nn - 1), min_size=1, max_size=3).map(tuple)
+    calls = draw(st.lists(st.tuples(st.sampled_from(("price", "add")), nodes), max_size=12))
+    return instance, calls
+
+
+def test_cached_prices_equal_a_fresh_state_property():
+    # Hypothesis runs inside a plain test, as in test_pipeline: a failing
+    # @given test collected by pytest would abort the session.
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(case=_coverage_cases())
+    def matches(case):
+        instance, calls = case
+        state = ps.CoverageState(instance)
+        added = []
+        for kind, nodes in calls:
+            if kind == "add":
+                state.add_nodes(nodes)
+                added.append(nodes)
+            else:
+                fresh = ps.CoverageState(instance)
+                for step in added:
+                    fresh.add_nodes(step)
+                for query in [nodes] + [(v,) for v in range(instance.node_count)]:
+                    assert state.gain_from_nodes(query) == fresh.gain_from_nodes(query)
+            expected = ps.broadcast_breakdown(instance, [v for step in added for v in step])
+            if instance.sensing.edge_weights is None:
+                assert state.average() == expected.average
+            else:
+                assert state.average() == pytest.approx(expected.average, rel=1e-12, abs=1e-12)
+
+    matches()
 
 
 def test_broadcast_breakdown_equals_the_per_road_reference():
