@@ -9,11 +9,19 @@ For each ``WORKLOAD:PAIRS`` it runs, for seeds 1..PAIRS,
 
 from the root of each checkout, the parent first on odd seeds and the
 change first on even ones, one run at a time.  ``S`` is ``run_seconds`` of
-the change's ``BENCHMARK.json``.  Per workload the file records every run,
-each side's medians, the quartiles of each side's ``wall_s`` and the
-number of pairs in which the change's ``wall_s`` is lower.  Only the
-standard library is used, so the script runs before either checkout's
-dependencies are imported.
+the change's ``BENCHMARK.json``, which also names the end-to-end metrics,
+whether lower or higher is better, and each one's relative ``bound``; the
+script only reads it.  Per workload the file records every run, each
+side's attempted and failed operations, and for each end-to-end metric:
+
+- each side's median and quartiles;
+- the number of pairs in which the change did better;
+- ``worse_than_bound``: whether the change's median is worse than the
+  parent's by more than ``bound`` times the parent's median.
+
+``regressed`` lists the flagged metrics.  Only the standard library is
+used, so the script runs before either checkout's dependencies are
+imported.
 """
 
 from __future__ import annotations
@@ -75,7 +83,25 @@ def _run(checkout: Path, argv: list[str]) -> dict:
     return flat
 
 
-def _pairs(workload: str, pairs: int, sides: dict[str, Path], seconds: float) -> dict:
+def _gate(runs: list[dict], metric: dict) -> dict:
+    """One end-to-end metric of a workload's runs, against its bound."""
+    name, bound = metric["name"], metric["bound"]
+    sign = 1 if metric["better"] == "lower" else -1
+    values = {side: [r[side][name] for r in runs] for side in ("parent", "change")}
+    medians = {side: statistics.median(v) for side, v in values.items()}
+    gate = {"better": metric["better"], "bound": bound, "medians": medians}
+    if len(runs) >= 2:
+        # quantiles(n=4) gives the three quartiles; keep the first and third
+        gate["quartiles"] = {side: statistics.quantiles(v, n=4)[::2] for side, v in values.items()}
+    gate["change_better_pairs"] = sum(
+        sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+    gate["worse_than_bound"] = (
+        sign * (medians["change"] - medians["parent"]) > bound * abs(medians["parent"]))
+    return gate
+
+
+def _pairs(workload: str, pairs: int, sides: dict[str, Path], seconds: float,
+           end_to_end: list[dict]) -> dict:
     runs = []
     for seed in range(1, pairs + 1):
         argv = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -86,21 +112,16 @@ def _pairs(workload: str, pairs: int, sides: dict[str, Path], seconds: float) ->
             print(f"bench_pairs: {workload} seed {seed} {side}", file=sys.stderr, flush=True)
             run[side] = _run(sides[side], argv)
         runs.append(run)
-    metrics = [k for k in runs[0]["parent"] if k not in ("correct", "attempted", "failed")]
-    block = {
+    gates = {metric["name"]: _gate(runs, metric) for metric in end_to_end}
+    return {
         "workload": workload,
         "pairs": pairs,
         "runs": runs,
-        "medians": {side: {m: statistics.median(r[side][m] for r in runs) for m in metrics}
-                    for side in ("parent", "change")},
+        "operations": {side: {k: sum(r[side][k] for r in runs) for k in ("attempted", "failed")}
+                       for side in ("parent", "change")},
+        "end_to_end": gates,
+        "regressed": [name for name, gate in gates.items() if gate["worse_than_bound"]],
     }
-    if pairs >= 2:
-        for side in ("parent", "change"):
-            q1, _, q3 = statistics.quantiles([r[side]["wall_s"] for r in runs], n=4)
-            block[f"{side}_wall_s_quartiles"] = [q1, q3]
-    block["change_faster_wall_s_pairs"] = sum(
-        r["change"]["wall_s"] < r["parent"]["wall_s"] for r in runs)
-    return block
 
 
 def _workload_pairs(text: str) -> tuple[str, int]:
@@ -120,11 +141,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     report = {"claim": args.claim, "parent": _commit(sides["parent"]), "how": HOW,
               "host": _host()}
     for workload, pairs in args.workloads:
-        report[workload] = _pairs(workload, pairs, sides, seconds)
+        report[workload] = _pairs(workload, pairs, sides, benchmark["run_seconds"],
+                                  benchmark["end_to_end"])
         args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

@@ -21,8 +21,6 @@ from .welfare import (
     broadcast_breakdown,
     evaluate_selection,
     marginal_gain,
-    phi_empty_matrix,
-    phi_preferences_matrix,
     phi_selection_matrix,
     phi_set_oracle,
     phi_walks,
@@ -35,7 +33,6 @@ from .static_solver import (
     StaticResult,
     brute_force_static,
     gus,
-    max_coverage_baseline,
     phi_empty,
     static_bound,
     ub1,

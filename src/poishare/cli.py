@@ -37,6 +37,7 @@ CSV_HEADER = "k,algorithm,welfare,upper_bound,ratio,bound,wall_time_ms,seed"
 
 STATIC_ALGORITHMS = ("gus", "set-cover-baseline", "no-broadcast", "bound")
 MOBILE_ALGORITHMS = ("gps", "adjusted-gps")
+_SEARCH_CAP = 500_000  # search-node limit of the exact max coverage behind ub1/ub2
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,11 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _ratio(welfare: float, upper: float) -> float:
+    """welfare / upper, or 0 when the bound is 0 (an instance without roads)."""
+    return welfare / upper if upper > 0 else 0.0
+
+
 def _parse_k_range(text: str) -> list[int]:
     if ":" in text:
         lo, hi = text.split(":", 1)
@@ -112,7 +118,7 @@ def run_sweep(
     seed: int,
     n: int = 2,
     g: int = 1,
-    cap: int = 500_000,
+    cap: int = _SEARCH_CAP,
 ) -> EvalReport:
     """One report row per (k, algorithm).
 
@@ -181,7 +187,7 @@ def run_sweep(
         elapsed_ms = (time.monotonic() - t0) * 1000.0 / len(ks)
         for k in ks:
             welfare, upper, bound = per_k[k]
-            ratio = welfare / upper if upper > 0 else 0.0
+            ratio = _ratio(welfare, upper)
             rows.append(ReportRow(k, algorithm, welfare, upper, ratio, bound, elapsed_ms, seed))
     return EvalReport(rows)
 
@@ -191,6 +197,23 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 
 
+def _print_result(args, algorithm: str, welfare: float, upper: float, bound: float,
+                  elapsed_ms: float, summary: list[str], details: dict) -> int:
+    """The end of a solve command: ``summary`` lines and the welfare on
+    stderr, then the report row as one-row CSV, or as JSON followed by
+    ``details``."""
+    row = ReportRow(args.k, algorithm, welfare, upper, _ratio(welfare, upper), bound, elapsed_ms,
+                    args.seed)
+    for line in summary:
+        print(line, file=sys.stderr)
+    print(f"welfare: {row.welfare!r}  ratio: {row.ratio!r}  bound: {row.bound!r}", file=sys.stderr)
+    if args.format == "json":
+        sys.stdout.write(json.dumps(asdict(row) | details, indent=2) + "\n")
+    else:
+        sys.stdout.write(EvalReport([row]).to_csv())
+    return 0
+
+
 def _cmd_solve_static(args) -> int:
     instance = instance_io.load_instance(args.instance)
     t0 = time.monotonic()
@@ -198,21 +221,13 @@ def _cmd_solve_static(args) -> int:
     elapsed_ms = (time.monotonic() - t0) * 1000.0
     upper = ub1(instance, args.k, cap=args.cap)
     bound = static_bound(args.k, instance.user_count)
-    welfare = result.welfare.average
-    row = ReportRow(
-        args.k, "gus", welfare, upper, welfare / upper, bound, elapsed_ms, args.seed
-    )
-    print(f"selection: {' '.join(str(u) for u in result.selection.users)}", file=sys.stderr)
-    print(f"welfare: {welfare!r}  ratio: {row.ratio!r}  bound: {bound!r}", file=sys.stderr)
-    if args.format == "json":
-        payload = asdict(row)
-        payload["selection"] = list(result.selection.users)
-        payload["per_user"] = list(result.welfare.per_user)
-        payload["trace"] = [[u, g] for u, g in result.trace]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        _emit(EvalReport([row]).to_csv(), None)
-    return 0
+    users = list(result.selection.users)
+    summary = [f"selection: {' '.join(map(str, users))}"]
+    return _print_result(args, "gus", result.welfare.average, upper, bound, elapsed_ms, summary, {
+        "selection": users,
+        "per_user": list(result.welfare.per_user),
+        "trace": [[u, g] for u, g in result.trace],
+    })
 
 
 def _cmd_solve_mobile(args) -> int:
@@ -233,21 +248,12 @@ def _cmd_solve_mobile(args) -> int:
     else:
         result_welfare = result.welfare
     upper = ub2(instance, args.n, args.k, cap=args.cap)
-    welfare = result_welfare.average
-    row = ReportRow(
-        args.k, algorithm, welfare, upper, welfare / upper, bound, elapsed_ms, args.seed
-    )
-    for walk in result.walks.walks:
-        print(f"walk: {' '.join(str(v) for v in walk.nodes)}", file=sys.stderr)
-    print(f"welfare: {welfare!r}  ratio: {row.ratio!r}  bound: {bound!r}", file=sys.stderr)
-    if args.format == "json":
-        payload = asdict(row)
-        payload["walks"] = [list(w.nodes) for w in result.walks.walks]
-        payload["per_user"] = list(result_welfare.per_user)
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        _emit(EvalReport([row]).to_csv(), None)
-    return 0
+    walks = [list(w.nodes) for w in result.walks.walks]
+    summary = [f"walk: {' '.join(map(str, w))}" for w in walks]
+    return _print_result(args, algorithm, result_welfare.average, upper, bound, elapsed_ms, summary, {
+        "walks": walks,
+        "per_user": list(result_welfare.per_user),
+    })
 
 
 def _cmd_sweep(args) -> int:
@@ -336,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cap",
             type=int,
-            default=500_000,
+            default=_SEARCH_CAP,
             help="search-node limit of the exact max-coverage search behind ub1/ub2; "
             "past it the bound reported is a relaxed but still valid one",
         )

@@ -12,6 +12,9 @@ A single UTF-8 JSON document with fixed field names:
       "social_hop_radius": int
     }
 
+Counts, edge ends, preference entries and the hop radius must be JSON
+integers, and weights JSON numbers: ``2.7``, ``2.0``, ``1e9``, ``true`` and
+``"2.5"`` are refused with InputError rather than truncated or converted.
 Serialization is lossless and byte-deterministic for a given instance.
 """
 
@@ -45,37 +48,48 @@ def instance_to_payload(instance: Instance) -> dict:
     return payload
 
 
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # only integer literals load as int; bool is an int subclass
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _edges(rows, what: str) -> tuple[tuple[int, int], ...]:
+    return tuple((_integer(u, what), _integer(v, what)) for u, v in rows)
+
+
 def instance_from_payload(payload: dict) -> Instance:
     try:
-        node_count = int(payload["node_count"])
-        user_count = int(payload["user_count"])
-        sensing_edges = tuple((int(u), int(v)) for u, v in payload["sensing_edges"])
-        social_edges = tuple((int(u), int(v)) for u, v in payload["social_edges"])
+        node_count = _integer(payload["node_count"], "node_count")
+        user_count = _integer(payload["user_count"], "user_count")
+        sensing_edges = _edges(payload["sensing_edges"], "a sensing edge end")
+        social_edges = _edges(payload["social_edges"], "a social edge end")
+        weights = payload.get("edge_weights")
+        for w in weights or ():
+            if type(w) not in (int, float):
+                raise TypeError(f"an edge weight must be a number, got {w!r}")
+        weights = None if weights is None else tuple(map(float, weights))
+        prefs = payload.get("preferences")
+        if prefs is not None:
+            prefs = tuple(frozenset(_integer(e, "a preference entry") for e in row) for row in prefs)
+        radius = _integer(payload.get("social_hop_radius", 1), "social_hop_radius")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed instance document: {exc}") from exc
     for name, count in (("node_count", node_count), ("user_count", user_count)):
         if not 0 <= count <= MAX_NODES:
             raise InputError(f"{name} {count} is outside [0, {MAX_NODES}]")
-    weights = payload.get("edge_weights")
-    prefs_raw = payload.get("preferences")
     sensing = SensingGraph(
         node_count=node_count,
         user_count=user_count,
         edges=sensing_edges,
-        edge_weights=tuple(float(w) for w in weights) if weights is not None else None,
+        edge_weights=weights,
         allow_self_loops=any(u == v for u, v in sensing_edges),
     )
-    social = SocialGraph(user_count=user_count, edges=social_edges)
-    preferences = None
-    if prefs_raw is not None:
-        preferences = PreferenceProfile(
-            per_user_edges=tuple(frozenset(int(e) for e in row) for row in prefs_raw)
-        )
     return Instance(
         sensing=sensing,
-        social=social,
-        preferences=preferences,
-        social_hop_radius=int(payload.get("social_hop_radius", 1)),
+        social=SocialGraph(user_count=user_count, edges=social_edges),
+        preferences=None if prefs is None else PreferenceProfile(per_user_edges=prefs),
+        social_hop_radius=radius,
     )
 
 

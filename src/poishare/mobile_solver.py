@@ -32,8 +32,8 @@ from .welfare import (
 class WalkSpace:
     """All candidate walks: exactly ``n`` edges, starting at user nodes,
     ordered by (start node, node sequence).  Row i of the read-only int32
-    array ``nodes`` is walk i; ``candidates`` (``Walk`` objects) and
-    ``start_index`` (walk indices per start node) are built on first use.
+    array ``nodes`` is walk i; ``candidates`` (``Walk`` objects) are built
+    on first use.
     """
 
     n: int
@@ -45,14 +45,6 @@ class WalkSpace:
     @cached_property
     def candidates(self) -> tuple[Walk, ...]:
         return tuple(Walk(tuple(row)) for row in self.nodes.tolist())
-
-    @cached_property
-    def start_index(self) -> dict[int, tuple[int, ...]]:
-        starts, first, counts = np.unique(self.nodes[:, 0], return_index=True, return_counts=True)
-        return {
-            int(s): tuple(range(f, f + c))
-            for s, f, c in zip(starts.tolist(), first.tolist(), counts.tolist())
-        }
 
 
 @dataclass(frozen=True)
@@ -66,17 +58,14 @@ class MobileResult:
     pruned_starts: frozenset[int]
 
 
-def enumerate_walks(instance: Instance, n: int, simple: bool = False) -> WalkSpace:
+def enumerate_walks(instance: Instance, n: int) -> WalkSpace:
     """Depth-n expansion from every user node, one level at a time: each
     level appends every sorted neighbor of each walk's last node, so rows
-    stay in (start node, node sequence) order.  Node revisits are allowed
-    by default; ``simple=True`` restricts to walks with no repeated node
-    (offered for comparison only).
+    stay in (start node, node sequence) order.  Walks may revisit nodes.
 
     First the walks of every level are counted by adjacency powers; a level
     of more than ``DEFAULT_ENUMERATION_CAP`` walks is refused with
-    InfeasibleError before anything is built.  The count ignores
-    ``simple``, so it bounds each level's allocation in both modes.
+    InfeasibleError before anything is built.
     """
     if n < 1:
         raise InputError(f"walk length n must be >= 1, got {n}")
@@ -101,11 +90,7 @@ def enumerate_walks(instance: Instance, n: int, simple: bool = False) -> WalkSpa
         fanout = degree[last]
         block_start = np.cumsum(fanout) - fanout
         step = flat[np.repeat(first[last] - block_start, fanout) + np.arange(fanout.sum())]
-        paths = np.repeat(paths, fanout, axis=0)
-        if simple:
-            fresh = (paths != step[:, None]).all(axis=1)
-            paths, step = paths[fresh], step[fresh]
-        paths = np.column_stack((paths, step))
+        paths = np.column_stack((np.repeat(paths, fanout, axis=0), step))
     paths.flags.writeable = False
     return WalkSpace(n=n, nodes=paths)
 
@@ -138,7 +123,6 @@ def gps(
     k: int,
     g: int,
     space: WalkSpace | None = None,
-    simple: bool = False,
 ) -> MobileResult:
     """Greedy path selection with augmentation factor g.
 
@@ -152,7 +136,7 @@ def gps(
     if not 1 <= g <= k:
         raise InputError(f"augmentation factor must satisfy 1 <= g <= k, got g={g}, k={k}")
     if space is None:
-        space = enumerate_walks(instance, n, simple=simple)
+        space = enumerate_walks(instance, n)
     elif space.n != n:
         raise InputError(f"walk space has n={space.n}, requested n={n}")
     _require_selectable(space, g, k)
@@ -304,7 +288,7 @@ def brute_force_mobile(
     n: int,
     k: int,
     g: int = 1,
-    cap: int = 2_000_000,
+    cap: int = DEFAULT_ENUMERATION_CAP,
     space: WalkSpace | None = None,
 ) -> MobileResult:
     """Exact mobile optimum under the start cap, by exhausting unions of
@@ -389,7 +373,7 @@ def brute_force_mobile(
 
 
 def ub2(
-    instance: Instance, n: int, k: int, cap: int = 2_000_000, base: float | None = None
+    instance: Instance, n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP, base: float | None = None
 ) -> float:
     """Upper bound on the mobile optimum: base welfare plus the best
     coverage reachable by k*(n+1) sensing nodes (any nodes, not just

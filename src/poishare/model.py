@@ -56,13 +56,6 @@ class SensingGraph:
         return self.edge_weights[edge_index]
 
     @cached_property
-    def total_weight(self) -> float:
-        """Sum of all edge weights; the hard ceiling on any utility value."""
-        if self.edge_weights is None:
-            return float(self.edge_count)
-        return float(sum(self.edge_weights))
-
-    @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Edge indices incident to each node (self-loops listed once)."""
         table: list[list[int]] = [[] for _ in range(self.node_count)]

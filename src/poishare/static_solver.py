@@ -1,5 +1,5 @@
 """Static-setting solvers: greedy user selection, the exhaustive optimum,
-the max-coverage baseline, the computable upper bound UB1, and the
+greedy and exact maximum coverage, the computable upper bound UB1, and the
 closed-form greedy guarantee.
 """
 
@@ -74,10 +74,7 @@ def gus(instance: Instance, k: int, route: str = "set") -> StaticResult:
 
     ``route`` picks how the final welfare is evaluated ('set', 'matrix',
     or 'both' with cross-checking); candidate scoring always uses the
-    incremental set route, whose gains match either route exactly.  The
-    loop makes one ``gain_from_nodes`` call per unselected user per round;
-    each price is cached per user and recomputed only after a road the
-    user touches is covered.
+    incremental set route, whose gains match either route exactly.
     """
     trace, _ = greedy_user_trace(instance, k)
     selection = Selection(tuple(user for user, _ in trace))
@@ -216,30 +213,11 @@ def exact_max_coverage(
     return best_pick, best_value
 
 
-def max_coverage_baseline(
-    instance: Instance, k: int, mode: str = "greedy", cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[Selection, float]:
-    """Selection by maximum edge coverage only, ignoring social sharing.
-
-    Greedy mode is the standard (1 - 1/e) heuristic; exact mode exhausts
-    within ``cap`` and refuses beyond it.
-    """
-    if k > instance.user_count:
-        raise InputError(f"budget k={k} exceeds user count {instance.user_count}")
-    if mode == "greedy":
-        picks, value = greedy_max_coverage(instance, k)
-    elif mode == "exact":
-        picks, value = exact_max_coverage(instance, k, cap=cap)
-    else:
-        raise InputError(f"unknown coverage mode {mode!r}")
-    return Selection(picks), value
-
-
 def _greedy_prefix_coverage_bound(instance: Instance, k: int, pool) -> float:
     """Submodularity bound on optimal k-coverage: along the greedy prefix
     S_0, S_1, ..., the optimum is at most cov(S_t) plus the k largest
     single-node marginals at S_t; take the best t."""
-    _, rows = _pool_rows(instance, pool)
+    pool, rows = _pool_rows(instance, pool)
     rounds = greedy_cover(rows, instance.sensing.weight_vector)
     best_bound = float("inf")
     value = 0.0
@@ -260,25 +238,20 @@ def coverage_upper_bound(
     """An upper bound on the best coverage achievable with k nodes.
 
     Exact when branch and bound finishes under ``cap``; otherwise the
-    cheapest of several valid relaxations: the greedy-prefix
-    submodularity bound, greedy inflated by 1/(1 - 1/e), the k largest
-    single-node coverages summed, and the total edge weight.
+    smaller of two valid relaxations: the greedy-prefix submodularity
+    bound and the total edge weight.  No other relaxation can be lower:
+    the k largest single-node coverages are the prefix bound at t = 0,
+    summed in the same order, and the prefix bound's minimum over t is at
+    most greedy / (1 - (1 - 1/k)^k), below greedy / (1 - 1/e) (Nemhauser,
+    Wolsey & Fisher 1978).
     """
     if k <= 0:
         return 0.0
-    pool, rows = _pool_rows(instance, pool)
     try:
-        _, value = exact_max_coverage(instance, k, pool, cap=cap)
-        return value
+        return exact_max_coverage(instance, k, pool, cap=cap)[1]
     except InfeasibleError:
-        pass
-    weights = instance.sensing.weight_vector
-    _, greedy_value = greedy_max_coverage(instance, k, pool)
-    solo = sorted((rows @ weights).tolist(), reverse=True)
-    top_k = sum(solo[: min(k, len(solo))])
-    total = float(weights.sum())
-    prefix_bound = _greedy_prefix_coverage_bound(instance, k, pool)
-    return min(greedy_value / (1.0 - 1.0 / np.e), top_k, total, prefix_bound)
+        total = float(instance.sensing.weight_vector.sum())
+        return min(total, _greedy_prefix_coverage_bound(instance, k, pool))
 
 
 def phi_empty(instance: Instance) -> WelfareBreakdown:

@@ -180,25 +180,9 @@ def _matrix_breakdown(instance: Instance, broadcast_rows) -> WelfareBreakdown:
     return WelfareBreakdown.from_per_user(per_user)
 
 
-def phi_empty_matrix(instance: Instance) -> WelfareBreakdown:
-    """Matrix-route welfare before anything is broadcast (no preferences)."""
-    if instance.preferences is not None:
-        raise InputError("instance has preferences; use phi_preferences_matrix")
-    return _matrix_breakdown(instance, ())
-
-
 def phi_selection_matrix(instance: Instance, selection: Selection) -> WelfareBreakdown:
-    """Matrix-route welfare of a static selection (no preferences)."""
-    if instance.preferences is not None:
-        raise InputError("instance has preferences; use phi_preferences_matrix")
-    check_selection(instance, selection)
-    return _matrix_breakdown(instance, selection.users)
-
-
-def phi_preferences_matrix(instance: Instance, selection: Selection) -> WelfareBreakdown:
-    """Matrix-route welfare of a static selection under interest profiles."""
-    if instance.preferences is None:
-        raise InputError("instance has no preferences; use phi_selection_matrix")
+    """Matrix-route welfare of a static selection, with or without
+    interest profiles."""
     check_selection(instance, selection)
     return _matrix_breakdown(instance, selection.users)
 
@@ -228,39 +212,31 @@ def _check_agreement(instance: Instance, left: WelfareBreakdown, right: WelfareB
             )
 
 
-def evaluate_selection(instance: Instance, selection: Selection, route: str = "set") -> WelfareBreakdown:
-    """Welfare of a selection via the requested route.
-
-    ``route='both'`` runs both routes and raises CrosscheckError on any
-    disagreement (exact under uniform weights).
-    """
+def _by_route(instance: Instance, route: str, by_set, by_matrix, broadcast) -> WelfareBreakdown:
+    """Welfare of ``broadcast`` by the set route, the matrix route, or with
+    ``route='both'`` the matrix route and then the set route, raising
+    CrosscheckError on any disagreement (exact under uniform weights) and
+    returning the set route's values."""
     if route not in ROUTES:
         raise InputError(f"unknown route {route!r}, expected one of {ROUTES}")
     if route == "set":
-        return phi_set_oracle(instance, selection)
-    if instance.preferences is not None:
-        matrix = phi_preferences_matrix(instance, selection)
-    else:
-        matrix = phi_selection_matrix(instance, selection)
+        return by_set(instance, broadcast)
+    matrix = by_matrix(instance, broadcast)
     if route == "matrix":
         return matrix
-    oracle = phi_set_oracle(instance, selection)
+    oracle = by_set(instance, broadcast)
     _check_agreement(instance, oracle, matrix)
     return oracle
+
+
+def evaluate_selection(instance: Instance, selection: Selection, route: str = "set") -> WelfareBreakdown:
+    """Welfare of a selection via the requested route (``'both'`` cross-checks)."""
+    return _by_route(instance, route, phi_set_oracle, phi_selection_matrix, selection)
 
 
 def phi_walks(instance: Instance, walks: WalkSet, route: str = "set") -> WelfareBreakdown:
     """Welfare of a walk set via the requested route (``'both'`` cross-checks)."""
-    if route not in ROUTES:
-        raise InputError(f"unknown route {route!r}, expected one of {ROUTES}")
-    if route == "set":
-        return phi_walks_set(instance, walks)
-    matrix = phi_walks_matrix(instance, walks)
-    if route == "matrix":
-        return matrix
-    oracle = phi_walks_set(instance, walks)
-    _check_agreement(instance, oracle, matrix)
-    return oracle
+    return _by_route(instance, route, phi_walks_set, phi_walks_matrix, walks)
 
 
 # ---------------------------------------------------------------------------

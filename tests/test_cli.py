@@ -92,6 +92,21 @@ def test_solve_static_bad_inputs(tiny_instance_path, capsys):
     assert main(["solve-static", "/nonexistent.json", "-k", "1"]) == 1
 
 
+def test_solve_static_reports_a_zero_ratio_without_roads(tmp_path, capsys):
+    # no roads: welfare and the bound are both 0, as in the sweep's rows
+    bare = ps.Instance(
+        sensing=ps.SensingGraph(node_count=2, user_count=2, edges=()),
+        social=ps.SocialGraph(user_count=2, edges=()),
+    )
+    path = tmp_path / "bare.json"
+    ps.save_instance(bare, path)
+    assert main(["solve-static", str(path), "-k", "1"]) == 0
+    cols = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert cols[:6] == ["1", "gus", "0.0", "0.0", "0.0", "1.0"]
+    assert main(["sweep", str(path), "--k-range", "1", "--algorithms", "gus"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[:6] == cols[:6]
+
+
 def test_solve_mobile_and_adjusted(tiny_instance_path, tmp_path, capsys):
     assert main(["solve-mobile", tiny_instance_path, "-n", "1", "-k", "1", "-g", "1"]) == 0
     captured = capsys.readouterr()

@@ -27,7 +27,7 @@ def test_enumerate_walks_path3():
     space = ps.enumerate_walks(path3(), 1)
     assert {w.nodes for w in space.candidates} == {(0, 1), (1, 0), (1, 2), (2, 1)}
     space2 = ps.enumerate_walks(path3(), 2)
-    from_v0 = {space2.candidates[i].nodes for i in space2.start_index[0]}
+    from_v0 = {w.nodes for w in space2.candidates if w.start == 0}
     assert from_v0 == {(0, 1, 0), (0, 1, 2)}
     with pytest.raises(ps.InputError):
         ps.enumerate_walks(path3(), 0)
@@ -51,11 +51,6 @@ def test_enumerate_walks_matches_independent_enumerator():
             and all(b in nbrs[a] for a, b in zip(seq, seq[1:]))
         }
         assert {w.nodes for w in space.candidates} == reference
-
-
-def test_enumerate_walks_simple_mode():
-    space = ps.enumerate_walks(path3(), 2, simple=True)
-    assert {w.nodes for w in space.candidates} == {(0, 1, 2), (2, 1, 0)}
 
 
 def test_gps_path3():
@@ -387,8 +382,6 @@ def test_enumerate_walks_orders_by_start_then_sequence():
                 if seq[0] < inst.user_count and all(b in nbrs[a] for a, b in zip(seq, seq[1:]))
             ]
             assert [w.nodes for w in ps.enumerate_walks(inst, n).candidates] == walks
-            simple = [w.nodes for w in ps.enumerate_walks(inst, n, simple=True).candidates]
-            assert simple == [seq for seq in walks if len(set(seq)) == len(seq)]
 
 
 def test_enumerate_walks_refuses_a_level_over_the_cap(monkeypatch):

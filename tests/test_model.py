@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 import poishare as ps
+from poishare.cli import main
 from util import random_instance
 
 
@@ -179,6 +180,30 @@ def test_load_instance_refuses_negative_counts():
             ps.loads_instance(json.dumps(payload), check=False)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("node_count", 2.7, "node_count must be an integer, got 2.7"),
+        ("sensing_edges", [[0, 1.5], [1, 2]], "a sensing edge end must be an integer, got 1.5"),
+        ("social_hop_radius", 1.5, "social_hop_radius must be an integer, got 1.5"),
+        ("social_edges", [[0, True]], "a social edge end must be an integer, got True"),
+        ("edge_weights", ["2.5", 1.0], "an edge weight must be a number, got '2.5'"),
+    ],
+    ids=["node_count", "sensing_edge", "hop_radius", "social_edge", "edge_weight"],
+)
+def test_load_instance_refuses_numbers_it_would_have_to_convert(tmp_path, field, value, message):
+    payload = {"node_count": 3, "user_count": 2, "sensing_edges": [[0, 1], [1, 2]],
+               "social_edges": [[0, 1]], "social_hop_radius": 1}
+    assert ps.loads_instance(json.dumps(payload)).node_count == 3
+    payload[field] = value
+    with pytest.raises(ps.InputError) as raised:
+        ps.loads_instance(json.dumps(payload), check=False)
+    assert str(raised.value) == f"malformed instance document: {message}"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+
+
 def test_load_instance_refuses_huge_counts_before_building_tables(tmp_path):
     # Run in a child whose address space is capped a little above what the
     # import uses: a check that ran after the node tables were built would
@@ -198,8 +223,8 @@ resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 path = sys.argv[1]
 codes = []
-for doc in ('{"node_count": 1e9, "user_count": 1, "sensing_edges": [], "social_edges": []}',
-            '{"node_count": 2, "user_count": 1e9, "sensing_edges": [], "social_edges": []}',
+for doc in ('{"node_count": 1000000000, "user_count": 1, "sensing_edges": [], "social_edges": []}',
+            '{"node_count": 2, "user_count": 1000000000, "sensing_edges": [], "social_edges": []}',
             '{"node_count": Infinity, "user_count": 1, "sensing_edges": [], "social_edges": []}'):
     try:
         ps.loads_instance(doc, check=False)

@@ -1,7 +1,9 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import poishare as ps
 from poishare.static_solver import coverage_upper_bound, exact_max_coverage, greedy_max_coverage
@@ -130,17 +132,10 @@ def test_brute_force_returns_lexicographically_least_optimum():
 
 
 def test_max_coverage_examples():
-    sel, covered = ps.max_coverage_baseline(path3(), 1)
-    assert sel.users == (1,)
-    assert covered == 2.0
+    assert greedy_max_coverage(path3(), 1) == ((1,), 2.0)
     inst = star(5)
-    sel, covered = ps.max_coverage_baseline(inst, 1)
-    assert sel.users == (0,)
-    assert covered == 5.0
-    sel_exact, covered_exact = ps.max_coverage_baseline(inst, 1, mode="exact")
-    assert covered_exact == 5.0
-    with pytest.raises(ps.InputError):
-        ps.max_coverage_baseline(inst, 99)
+    assert greedy_max_coverage(inst, 1) == ((0,), 5.0)
+    assert exact_max_coverage(inst, 1) == ((0,), 5.0)
 
 
 def test_greedy_coverage_vs_exact_bound():
@@ -148,8 +143,8 @@ def test_greedy_coverage_vs_exact_bound():
     for _ in range(60):
         inst = random_instance(rng, max_users=8, min_users=2)
         k = rng.randint(1, inst.user_count)
-        _, greedy_val = ps.max_coverage_baseline(inst, k)
-        _, exact_val = ps.max_coverage_baseline(inst, k, mode="exact")
+        _, greedy_val = greedy_max_coverage(inst, k)
+        _, exact_val = exact_max_coverage(inst, k)
         assert greedy_val <= exact_val + 1e-12
         assert greedy_val >= (1 - 1 / math.e) * exact_val - 1e-12
 
@@ -230,6 +225,63 @@ def test_coverage_upper_bound_dominates_exact():
         assert coverage_upper_bound(instance=inst, k=k) >= exact_val - 1e-12
         # force the relaxation path and check it still dominates
         assert coverage_upper_bound(instance=inst, k=k, cap=1) >= exact_val - 1e-12
+
+
+@st.composite
+def _tiny_instances(draw):
+    """An instance of at most six nodes with optional weights, self-loops
+    and non-user nodes."""
+    m = draw(st.integers(1, 4))
+    nn = m + draw(st.integers(0, 2))
+    pairs = [(u, v) for u in range(nn) for v in range(u, nn)]
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)))
+    weights = None
+    if edges and draw(st.booleans()):
+        weights = tuple(draw(st.lists(st.floats(0.1, 5.0), min_size=len(edges),
+                                      max_size=len(edges))))
+    sensing = ps.SensingGraph(node_count=nn, user_count=m, edges=edges, edge_weights=weights,
+                              allow_self_loops=True)
+    friends = list(combinations(range(m), 2))
+    social = ps.SocialGraph(user_count=m, edges=tuple(
+        draw(st.lists(st.sampled_from(friends), unique=True)) if friends else ()))
+    return ps.Instance(sensing=sensing, social=social, social_hop_radius=draw(st.integers(1, 2)))
+
+
+def test_relaxed_bounds_dominate_the_optima_property():
+    """With the search capped at one node, ub1 and ub2 still dominate the
+    brute-force optima, and the relaxed coverage bound is never above the
+    two relaxations it replaced: greedy / (1 - 1/e) and the k largest
+    single-node coverages."""
+    # Hypothesis runs inside a plain test, as in test_pipeline: a failing
+    # @given test collected by pytest would abort the whole pytest run.
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(instance=_tiny_instances(), n=st.integers(1, 2))
+    def dominated(instance, n):
+        m = instance.user_count
+        for k in range(1, m + 1):
+            opt = ps.brute_force_static(instance, k).welfare.average
+            assert ps.ub1(instance, k, cap=1) >= opt - 1e-9
+        for k in range(1, min(m, 3) + 1):
+            try:
+                opt = ps.brute_force_mobile(instance, n, k).welfare.average
+            except ps.InfeasibleError:  # fewer than k walks with distinct starts
+                continue
+            assert ps.ub2(instance, n, k, cap=1) >= opt - 1e-9
+        weights = instance.sensing.weight_vector
+        for pool in (list(range(m)), list(range(instance.node_count))):
+            solo = sorted((instance.sensing.incidence[pool] @ weights).tolist(), reverse=True)
+            for k in range(1, len(pool) + 1):
+                try:
+                    exact_max_coverage(instance, k, pool, cap=1)
+                    continue  # the search finished: the bound is exact
+                except ps.InfeasibleError:
+                    pass
+                bound = coverage_upper_bound(instance, k, pool, cap=1)
+                _, greedy = greedy_max_coverage(instance, k, pool)
+                assert bound <= greedy / (1.0 - 1.0 / math.e)
+                assert bound <= sum(solo[:k])
+
+    dominated()
 
 
 def test_ub1_examples_and_dominance():

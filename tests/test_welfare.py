@@ -47,18 +47,18 @@ def test_phi_empty_matrix_path3():
     assert a.toarray().tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     b = ps.social_matrix(inst)
     assert b.toarray().tolist() == np.eye(3).tolist()
-    empty = ps.phi_empty_matrix(inst)
+    empty = ps.phi_selection_matrix(inst, ps.Selection(()))
     assert empty.per_user == (1.0, 2.0, 1.0)
     # one social edge: shared edge counted twice, then corrected
     inst2 = path3(social_edges=((0, 1),))
-    assert ps.phi_empty_matrix(inst2).per_user[0] == 3.0 - 1.0
+    assert ps.phi_selection_matrix(inst2, ps.Selection(())).per_user[0] == 3.0 - 1.0
 
 
 def test_phi_selection_matrix_path3():
     inst = path3()
     sel = ps.phi_selection_matrix(inst, ps.Selection((1,)))
     assert sel.average == 2.0
-    assert ps.phi_selection_matrix(inst, ps.Selection(())) == ps.phi_empty_matrix(inst)
+    assert ps.phi_selection_matrix(inst, ps.Selection(())) == ps.phi_set_oracle(inst, ps.Selection(()))
 
 
 def test_social_matrix_update_marks_rows_not_columns():
@@ -74,22 +74,19 @@ def test_phi_preferences_matrix_examples():
     full = ps.PreferenceProfile((frozenset({0, 1}),) * 3)
     with_full = ps.Instance(inst.sensing, inst.social, preferences=full)
     sel = ps.Selection((1,))
-    assert ps.phi_preferences_matrix(with_full, sel) == ps.phi_selection_matrix(inst, sel)
+    assert ps.phi_selection_matrix(with_full, sel) == ps.phi_selection_matrix(inst, sel)
 
     narrow = ps.PreferenceProfile((frozenset({0}), frozenset({0, 1}), frozenset({1})))
     with_narrow = ps.Instance(inst.sensing, inst.social, preferences=narrow)
-    got = ps.phi_preferences_matrix(with_narrow, sel)
-    assert got.per_user[0] == 1.0
-    with pytest.raises(ps.InputError):
-        ps.phi_preferences_matrix(inst, sel)
-    with pytest.raises(ps.InputError):
-        ps.phi_selection_matrix(with_narrow, sel)
+    got = ps.phi_selection_matrix(with_narrow, sel)
+    assert got.per_user == (1.0, 2.0, 1.0)
+    assert got == ps.phi_set_oracle(with_narrow, sel)
 
 
 def test_phi_walks_examples():
     inst = path3()
     empty = ps.phi_walks(inst, ps.WalkSet(()))
-    assert empty == ps.phi_empty_matrix(inst)
+    assert empty == ps.phi_selection_matrix(inst, ps.Selection(()))
     one = ps.phi_walks(inst, ps.WalkSet((ps.Walk((0, 1)),)))
     assert one.average == 2.0
     with pytest.raises(ps.InputError):
@@ -153,7 +150,7 @@ def test_self_loop_counting_matches_oracle():
     inst = ps.Instance(sensing=sensing, social=ps.SocialGraph(user_count=2, edges=()))
     by_set = ps.phi_set_oracle(inst, ps.Selection(()))
     assert by_set.per_user == (2.0, 1.0)
-    assert ps.phi_empty_matrix(inst).per_user == by_set.per_user
+    assert ps.phi_selection_matrix(inst, ps.Selection(())).per_user == by_set.per_user
 
 
 def test_column_sum_double_counts_and_minor_corrects():
@@ -235,7 +232,7 @@ def test_welfare_never_exceeds_total_edge_weight():
         k = rng.randint(0, inst.user_count)
         sel = ps.Selection(tuple(rng.sample(range(inst.user_count), k)))
         breakdown = ps.phi_set_oracle(inst, sel)
-        limit = inst.sensing.total_weight
+        limit = float(inst.sensing.weight_vector.sum())
         assert all(0.0 <= v <= limit for v in breakdown.per_user)
         assert breakdown.average <= limit
 
@@ -411,9 +408,33 @@ def test_broadcast_breakdown_equals_the_per_road_reference():
             assert got == reference_broadcast_breakdown(inst, nodes), nodes
 
 
-def test_crosscheck_raises_on_divergence():
+def test_crosscheck_raises_on_divergence(monkeypatch):
     inst = path3()
     good = ps.phi_set_oracle(inst, ps.Selection(()))
     bad = ps.WelfareBreakdown(per_user=(1.0, 2.0, 9.0), average=4.0)
     with pytest.raises(ps.CrosscheckError):
         ps.welfare._check_agreement(inst, good, bad)
+
+    # Both dispatchers run the matrix route, then the set route, and refuse
+    # a matrix route that disagrees; 'matrix' alone returns its values.
+    calls = []
+
+    def spy(route, evaluate, shift=0.0):
+        def wrapped(instance, broadcast):
+            calls.append(route)
+            got = evaluate(instance, broadcast)
+            return ps.WelfareBreakdown.from_per_user([v + shift for v in got.per_user])
+        return wrapped
+
+    for dispatch, by_set, by_matrix, broadcast in (
+        (ps.evaluate_selection, "phi_set_oracle", "phi_selection_matrix", ps.Selection((1,))),
+        (ps.phi_walks, "phi_walks_set", "phi_walks_matrix", ps.WalkSet((ps.Walk((0, 1)),))),
+    ):
+        monkeypatch.setattr(ps.welfare, by_set, spy("set", getattr(ps.welfare, by_set)))
+        monkeypatch.setattr(ps.welfare, by_matrix, spy("matrix", getattr(ps.welfare, by_matrix), 0.5))
+        calls.clear()
+        with pytest.raises(ps.CrosscheckError):
+            dispatch(inst, broadcast, route="both")
+        assert calls == ["matrix", "set"]
+        assert dispatch(inst, broadcast, route="matrix").average == 2.5
+        assert dispatch(inst, broadcast, route="set").average == 2.0
