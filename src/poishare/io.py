@@ -83,7 +83,6 @@ def instance_from_payload(payload: dict) -> Instance:
         user_count=user_count,
         edges=sensing_edges,
         edge_weights=weights,
-        allow_self_loops=any(u == v for u, v in sensing_edges),
     )
     return Instance(
         sensing=sensing,

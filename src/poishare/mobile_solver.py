@@ -462,7 +462,6 @@ def mobile_reduction_instance(static_instance: Instance, n: int) -> Instance:
         user_count=m,
         edges=tuple(edges),
         edge_weights=None if g1.edge_weights is None else g1.edge_weights + (1.0,) * (m * block),
-        allow_self_loops=g1.allow_self_loops,
     )
     return Instance(
         sensing=sensing,

@@ -9,7 +9,7 @@ Conventions used throughout the package:
 - Nodes are dense 0-based indices.  Indices ``0 .. user_count-1`` are user
   nodes; any higher index is a non-user location.
 - Sensing edges are unordered index pairs, normalized to ``(min, max)``.
-  Self-loops ``(v, v)`` are only legal when ``allow_self_loops`` is set.
+  A self-loop ``(v, v)`` is a legal road that touches only v.
 - All model types are immutable after construction; derived adjacency
   tables are cached and safe to share between concurrent readers.
 """
@@ -30,7 +30,7 @@ from .errors import InputError
 class SensingGraph:
     """Physical graph of locations and roads.
 
-    ``edge_weights`` is an optional per-edge positive weight; when omitted
+    ``edge_weights`` is an optional per-edge finite positive weight; when omitted
     every edge counts 1.0 (uniform information per road).
     """
 
@@ -38,7 +38,6 @@ class SensingGraph:
     user_count: int
     edges: tuple[tuple[int, int], ...]
     edge_weights: tuple[float, ...] | None = None
-    allow_self_loops: bool = False
 
     def __post_init__(self):
         norm = tuple((u, v) if u <= v else (v, u) for u, v in self.edges)
@@ -278,8 +277,6 @@ def validate(instance: Instance) -> list[str]:
         if not (0 <= u < g1.node_count and 0 <= v < g1.node_count):
             out.append(f"sensing edge {e}=({u},{v}) has an endpoint out of range")
             continue
-        if u == v and not g1.allow_self_loops:
-            out.append(f"sensing edge {e}=({u},{v}) is a self-loop but self-loops are disabled")
         if (u, v) in seen_edges:
             out.append(f"duplicate sensing edge ({u},{v})")
         seen_edges.add((u, v))
@@ -290,8 +287,8 @@ def validate(instance: Instance) -> list[str]:
             )
         else:
             for e, w in enumerate(g1.edge_weights):
-                if not w > 0:
-                    out.append(f"edge weight {e} must be positive, got {w}")
+                if not 0 < w < np.inf:
+                    out.append(f"edge weight {e} must be finite and positive, got {w}")
 
     if g2.user_count != g1.user_count:
         out.append(

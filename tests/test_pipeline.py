@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import poishare as ps
 from poishare.cli import main
-from poishare.pipeline import EARTH_RADIUS_KM, _condensed_haversine
-from util import reference_build_roads
+from poishare.pipeline import EARTH_RADIUS_KM, _condensed_haversine, _er_edges
+from util import reference_build_roads, reference_er_edges
 
 
 GOOD_LINES = (
@@ -135,6 +135,17 @@ def test_build_roads_always_connected():
         for u, v in edges:
             parent[find(u)] = find(v)
         assert len({find(i) for i in range(n)}) == 1
+
+
+def test_er_edges_match_one_draw_per_pair():
+    # same edges, and the generator left at the same state, so the social
+    # graph drawn next from it is unchanged
+    for n in (0, 1, 2, 40, 300):
+        for p in (0.0, 0.05, 0.3, 1.0):
+            for seed in (0, 7):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert _er_edges(rng, n, p) == reference_er_edges(ref, n, p), (n, p, seed)
+                assert rng.integers(2**31) == ref.integers(2**31)
 
 
 def test_synth_social_examples():

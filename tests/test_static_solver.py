@@ -239,8 +239,7 @@ def _tiny_instances(draw):
     if edges and draw(st.booleans()):
         weights = tuple(draw(st.lists(st.floats(0.1, 5.0), min_size=len(edges),
                                       max_size=len(edges))))
-    sensing = ps.SensingGraph(node_count=nn, user_count=m, edges=edges, edge_weights=weights,
-                              allow_self_loops=True)
+    sensing = ps.SensingGraph(node_count=nn, user_count=m, edges=edges, edge_weights=weights)
     friends = list(combinations(range(m), 2))
     social = ps.SocialGraph(user_count=m, edges=tuple(
         draw(st.lists(st.sampled_from(friends), unique=True)) if friends else ()))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from itertools import combinations
 
@@ -144,9 +145,7 @@ def test_walk_route_equivalence_randomized():
 
 
 def test_self_loop_counting_matches_oracle():
-    sensing = ps.SensingGraph(
-        node_count=2, user_count=2, edges=((0, 1), (0, 0)), allow_self_loops=True
-    )
+    sensing = ps.SensingGraph(node_count=2, user_count=2, edges=((0, 1), (0, 0)))
     inst = ps.Instance(sensing=sensing, social=ps.SocialGraph(user_count=2, edges=()))
     by_set = ps.phi_set_oracle(inst, ps.Selection(()))
     assert by_set.per_user == (2.0, 1.0)
@@ -307,18 +306,24 @@ def _random_walk(inst, rng, steps):
 
 
 def test_gain_from_nodes_equals_the_unique_of_its_rows():
-    # prices are compared with ==: the single-node path must give the same
-    # ids in the same order as np.unique, so every gain sum has the same bits
+    # prices are compared with ==: one node's price is its uncovered roads'
+    # gains summed in road order, as greedy_cover scores; several nodes'
+    # price sums the np.unique of their rows
     rng = random.Random(132)
-    for inst in mixed_instances(131, 60):
+    for inst in mixed_instances(131, 60) + [_weighted_star()]:
         state = ps.CoverageState(inst)
         incident = inst.sensing.incident
         covered = np.zeros(inst.sensing.edge_count, dtype=bool)
 
+        def uncovered(ids):
+            return ids[~covered[ids]]
+
         def expected(nodes):
+            if len(nodes) == 1:
+                ids = uncovered(np.array(incident[nodes[0]], dtype=np.intp))
+                return sum(state.gain[ids].tolist()) / state.m
             rows = [np.array(incident[v], dtype=np.intp) for v in nodes]
-            ids = np.unique(np.concatenate(rows))
-            ids = ids[~covered[ids]]
+            ids = uncovered(np.unique(np.concatenate(rows)))
             return float(state.gain[ids].sum()) / state.m
 
         for _ in range(4):
@@ -333,6 +338,44 @@ def test_gain_from_nodes_equals_the_unique_of_its_rows():
                 covered[list(incident[v])] = True
 
 
+def _weighted_star():
+    """Ten users, the centre 0 joined to the nine others by roads weighing
+    0.1 .. 0.9: numpy's sum of its nine gains, taken through 8 partial
+    sums, differs from the sum in road order in the last bit."""
+    sensing = ps.SensingGraph(node_count=10, user_count=10,
+                              edges=tuple((0, j) for j in range(1, 10)),
+                              edge_weights=tuple(0.1 * j for j in range(1, 10)))
+    return ps.Instance(sensing=sensing, social=ps.SocialGraph(user_count=10, edges=()))
+
+
+def test_a_single_node_price_sums_its_roads_in_order():
+    state = ps.CoverageState(_weighted_star())
+    in_order = sum(state.gain.tolist())
+    assert in_order != float(state.gain.sum())
+    assert state.gain_from_nodes((0,)) == in_order / 10
+    assert ps.marginal_gain(_weighted_star(), ps.Selection(()), 0) == in_order / 10
+
+
+def test_single_node_prices_are_greedy_cover_scores():
+    # after each of gus's picks every unselected user's price is its
+    # greedy_cover score over the same covered roads, divided by m
+    instances = [inst for inst in mixed_instances(134, 40) if inst.sensing.edge_count]
+    instances.append(_weighted_star())
+    for inst in instances:
+        m = inst.user_count
+        state = ps.CoverageState(inst)
+        rounds = ps.welfare.greedy_cover(inst.sensing.incidence[:m], state.gain)
+        trace, _ = ps.static_solver.greedy_user_trace(inst, m)
+        chosen = set()
+        for (user, gain), (pick, scores) in zip(trace, rounds, strict=True):
+            for v in range(m):
+                if v not in chosen:
+                    assert state.gain_from_nodes((v,)) == scores[v] / m
+            assert (pick, gain) == (user, scores[user] / m)
+            state.add_nodes((user,))
+            chosen.add(user)
+
+
 @st.composite
 def _coverage_cases(draw):
     """An instance with optional weights, self-loops, preferences and
@@ -345,8 +388,7 @@ def _coverage_cases(draw):
     if edges and draw(st.booleans()):
         weights = tuple(draw(st.lists(st.floats(0.1, 5.0), min_size=len(edges),
                                       max_size=len(edges))))
-    sensing = ps.SensingGraph(node_count=nn, user_count=m, edges=edges, edge_weights=weights,
-                              allow_self_loops=True)
+    sensing = ps.SensingGraph(node_count=nn, user_count=m, edges=edges, edge_weights=weights)
     friends = list(combinations(range(m), 2))
     social = ps.SocialGraph(user_count=m, edges=tuple(
         draw(st.lists(st.sampled_from(friends), unique=True)) if friends else ()))
@@ -406,6 +448,19 @@ def test_broadcast_breakdown_equals_the_per_road_reference():
         for nodes in broadcasts:
             got = ps.broadcast_breakdown(inst, nodes)
             assert got == reference_broadcast_breakdown(inst, nodes), nodes
+
+
+def test_crosscheck_counts_nan_as_disagreement():
+    unit = path3()
+    weighted = dataclasses.replace(unit, sensing=dataclasses.replace(
+        unit.sensing, edge_weights=(1.5, 2.0)))
+    for inst in (unit, weighted):
+        good = ps.phi_set_oracle(inst, ps.Selection(()))
+        bad = ps.WelfareBreakdown.from_per_user((math.nan,) + good.per_user[1:])
+        for left, right in ((good, bad), (bad, good), (bad, bad)):
+            with pytest.raises(ps.CrosscheckError):
+                ps.welfare._check_agreement(inst, left, right)
+        ps.welfare._check_agreement(inst, good, good)
 
 
 def test_crosscheck_raises_on_divergence(monkeypatch):

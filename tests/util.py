@@ -43,7 +43,6 @@ def random_instance(
         user_count=m,
         edges=all_edges,
         edge_weights=weights,
-        allow_self_loops=bool(loops),
     )
     social = ps.SocialGraph(
         user_count=m,
@@ -131,7 +130,6 @@ def pendant_augmented_instance(instance: ps.Instance) -> ps.Instance:
         user_count=m,
         edges=g1.edges + pendants,
         edge_weights=weights,
-        allow_self_loops=g1.allow_self_loops,
     )
     return ps.Instance(
         sensing=sensing,
@@ -190,7 +188,6 @@ def reweighted(instance: ps.Instance, rng: random.Random) -> ps.Instance:
         user_count=g1.user_count,
         edges=g1.edges,
         edge_weights=tuple(rng.uniform(0.1, 5.0) for _ in g1.edges),
-        allow_self_loops=g1.allow_self_loops,
     )
     prefs = ps.PreferenceProfile(tuple(
         frozenset(g1.incident[i]) | {e for e in range(g1.edge_count) if rng.random() < 0.5}
@@ -392,3 +389,14 @@ def reference_build_roads(locations, knn: int) -> tuple[tuple[int, int], ...]:
         edges.add((i, j))
         parent[find(i)] = find(j)
     return tuple(sorted(edges))
+
+
+def reference_er_edges(rng, node_count: int, edge_prob: float) -> tuple[tuple[int, int], ...]:
+    """``pipeline._er_edges`` as first written, as its oracle: one
+    ``rng.random()`` draw per pair (i, j), i < j, in row-major order."""
+    out = []
+    for i in range(node_count):
+        for j in range(i + 1, node_count):
+            if rng.random() < edge_prob:
+                out.append((i, j))
+    return tuple(out)
