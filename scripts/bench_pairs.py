@@ -1,11 +1,12 @@
 """Paired benchmark runs of two checkouts, written as one ``BENCH_*.json``.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_name.json \\
-        --claim TEXT WORKLOAD:PAIRS [WORKLOAD:PAIRS ...]
+        --claim TEXT [--instance-seed N] WORKLOAD:PAIRS [WORKLOAD:PAIRS ...]
 
 For each ``WORKLOAD:PAIRS`` it runs, for seeds 1..PAIRS,
 
-    python3 perfbench/run.py --workload WORKLOAD --seed N --seconds S --trace 0
+    python3 perfbench/run.py --workload WORKLOAD --seed N --seconds S --trace 0 \\
+        [--instance-seed N]
 
 from the root of each checkout, the parent first on odd seeds and the
 change first on even ones, one run at a time.  ``S`` is ``run_seconds`` of
@@ -18,6 +19,13 @@ side's attempted and failed operations, and for each end-to-end metric:
 - the number of pairs in which the change did better;
 - ``worse_than_bound``: whether the change's median is worse than the
   parent's by more than ``bound`` times the parent's median.
+
+It also reads each run's ``perfbench/out/WORKLOAD/result.json`` and records
+every request's shortest raw ``wall_s``, per run and, over all runs, per
+side: the benchmark corrects a request's time from the host-speed probes
+taken while it ran, one every 0.1 s, so a request that gets near that
+interval can end a run with no probe inside it.  ``--instance-seed``
+passes the held-out instance seed on, to confirm a claim on it.
 
 ``regressed`` lists the flagged metrics.  Only the standard library is
 used, so the script runs before either checkout's dependencies are
@@ -83,6 +91,19 @@ def _run(checkout: Path, argv: list[str]) -> dict:
     return flat
 
 
+def _shortest_walls(checkout: Path, workload: str) -> dict[str, float]:
+    """Each request's shortest raw ``wall_s`` in the last run's
+    ``result.json``, keyed by its command line with the instance path cut
+    to the file name."""
+    details = json.loads((checkout / "perfbench" / "out" / workload / "result.json").read_text())
+    shortest: dict[str, float] = {}
+    for requests in details["rounds"]:
+        for request in requests:
+            key = " ".join(Path(a).name if os.sep in a else a for a in request["argv"])
+            shortest[key] = min(request["wall_s"], shortest.get(key, float("inf")))
+    return shortest
+
+
 def _gate(runs: list[dict], metric: dict) -> dict:
     """One end-to-end metric of a workload's runs, against its bound."""
     name, bound = metric["name"], metric["bound"]
@@ -101,18 +122,28 @@ def _gate(runs: list[dict], metric: dict) -> dict:
 
 
 def _pairs(workload: str, pairs: int, sides: dict[str, Path], seconds: float,
-           end_to_end: list[dict]) -> dict:
+           end_to_end: list[dict], instance_seed: int | None) -> dict:
     runs = []
     for seed in range(1, pairs + 1):
         argv = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                 "--seconds", f"{seconds:g}", "--trace", "0"]
+        if instance_seed is not None:
+            argv += ["--instance-seed", str(instance_seed)]
         order = ["parent", "change"] if seed % 2 else ["change", "parent"]
         run = {"seed": seed, "command": " ".join(argv), "order": order}
         for side in order:
             print(f"bench_pairs: {workload} seed {seed} {side}", file=sys.stderr, flush=True)
             run[side] = _run(sides[side], argv)
+            run[side]["shortest_raw_wall_s"] = _shortest_walls(sides[side], workload)
         runs.append(run)
     gates = {metric["name"]: _gate(runs, metric) for metric in end_to_end}
+    shortest = {side: {key: min(r[side]["shortest_raw_wall_s"][key] for r in runs)
+                       for key in runs[0][side]["shortest_raw_wall_s"]}
+                for side in ("parent", "change")}
+    for side, walls in shortest.items():
+        key = min(walls, key=walls.get)
+        print(f"bench_pairs: {workload} {side}: shortest raw wall_s {walls[key]:.3f} s ({key})",
+              file=sys.stderr, flush=True)
     return {
         "workload": workload,
         "pairs": pairs,
@@ -120,6 +151,7 @@ def _pairs(workload: str, pairs: int, sides: dict[str, Path], seconds: float,
         "operations": {side: {k: sum(r[side][k] for r in runs) for k in ("attempted", "failed")}
                        for side in ("parent", "change")},
         "end_to_end": gates,
+        "shortest_raw_wall_s": shortest,
         "regressed": [name for name, gate in gates.items() if gate["worse_than_bound"]],
     }
 
@@ -137,16 +169,18 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_*.json to write")
     parser.add_argument("--claim", required=True, help="the claim the runs test")
+    parser.add_argument("--instance-seed", type=int, default=None,
+                        help="instance seed passed to perfbench/run.py (default: its own)")
     parser.add_argument("workloads", nargs="+", type=_workload_pairs, metavar="WORKLOAD:PAIRS")
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     report = {"claim": args.claim, "parent": _commit(sides["parent"]), "how": HOW,
-              "host": _host()}
+              "host": _host(), "instance_seed": args.instance_seed}
     for workload, pairs in args.workloads:
         report[workload] = _pairs(workload, pairs, sides, benchmark["run_seconds"],
-                                  benchmark["end_to_end"])
+                                  benchmark["end_to_end"], args.instance_seed)
         args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

@@ -23,6 +23,7 @@ from .errors import CrosscheckError, InfeasibleError, InputError, PoiShareError
 from .model import Instance, Selection, validate
 from .pipeline import BoundingBox, GenSpec, ingest_instance, parse_checkins, synth_instance
 from .static_solver import (
+    CoverageSearch,
     greedy_max_coverage,
     greedy_user_trace,
     gus,
@@ -128,9 +129,10 @@ def run_sweep(
     selection is never re-evaluated; the coverage baseline's picks are
     replayed through a ``CoverageState``.  ``seed`` does not
     affect the deterministic solvers; it is recorded in every row for
-    provenance.  Upper bounds are computed once per k,
-    on one base welfare, before any algorithm's timer starts, so
-    ``wall_time_ms`` is the algorithm's own time.
+    provenance.  Upper bounds are computed once per k, from one base
+    welfare and one ``CoverageSearch`` set-up shared by every budget,
+    before any algorithm's timer starts, so ``wall_time_ms`` is the
+    algorithm's own time.
     """
     m = instance.user_count
     k_max = max(ks)
@@ -144,7 +146,8 @@ def run_sweep(
     base_welfare = phi_empty(instance).average
     static_upper = {}
     if {"gus", "set-cover-baseline", "no-broadcast"} & set(algorithms):
-        static_upper = {k: ub1(instance, k, cap=cap, base=base_welfare) for k in ks}
+        search = CoverageSearch(instance)
+        static_upper = {k: ub1(instance, k, cap=cap, base=base_welfare, search=search) for k in ks}
     mobile_upper = {}
     if {"gps", "adjusted-gps"} & set(algorithms):
         mobile_upper = {k: ub2(instance, n, k, cap=cap, base=base_welfare) for k in ks}

@@ -16,9 +16,9 @@ from .model import Instance, Selection, SensingGraph, SocialGraph
 from .welfare import (
     CoverageState,
     WelfareBreakdown,
-    broadcast_breakdown,
     evaluate_selection,
     greedy_cover,
+    own_access,
     phi_set_oracle,
 )
 
@@ -121,19 +121,67 @@ def _pool_rows(instance: Instance, pool):
     return pool, instance.sensing.incidence[pool]
 
 
+def _greedy_prefixes(rows, weights):
+    """Each greedy max-coverage pick over ``rows`` (a row index) with the
+    weight that the picks so far cover, ``weights[covered].sum()``."""
+    covered = np.zeros(rows.shape[1], dtype=bool)
+    for pick, _ in greedy_cover(rows, weights):
+        covered[rows.indices[rows.indptr[pick] : rows.indptr[pick + 1]]] = True
+        yield pick, float(weights[covered].sum())
+
+
 def greedy_max_coverage(instance: Instance, k: int, pool=None) -> tuple[tuple[int, ...], float]:
     """Classic greedy max coverage over the incident-edge sets of ``pool``
     (default: the user nodes).  Ties to the lowest pool position."""
     pool, rows = _pool_rows(instance, pool)
-    weights = instance.sensing.weight_vector
-    picks = [i for i, _ in islice(greedy_cover(rows, weights), max(k, 0))]
-    covered = np.zeros(instance.sensing.edge_count, dtype=bool)
-    covered[rows[picks].indices] = True
-    return tuple(pool[i] for i in picks), float(weights[covered].sum())
+    steps = list(islice(_greedy_prefixes(rows, instance.sensing.weight_vector), max(k, 0)))
+    return tuple(pool[i] for i, _ in steps), steps[-1][1] if steps else 0.0
+
+
+class CoverageSearch:
+    """The set-up of ``exact_max_coverage``'s search over one pool, which
+    no budget changes: built once, it serves any number of budgets.
+
+    It holds the pool's incidence rows; the pool positions sorted by
+    falling singleton coverage, ties to the lower node; the optimistic
+    prefix sums of that order; each node's road bitmask, built on the
+    node's first visit; and the greedy cover, extended as larger budgets
+    ask for it.  Greedy picks are prefix-stable, so budget k's incumbent
+    is the same expression over the same picks as a greedy run at k.
+    Single owner; not shareable between threads.
+    """
+
+    def __init__(self, instance: Instance, pool=None):
+        self.pool, self.rows = _pool_rows(instance, pool)
+        self.weights = instance.sensing.weight_vector
+        self.unit = bool((self.weights == 1.0).all())
+        size = len(self.pool)
+        solo = (self.rows @ self.weights).tolist()
+        self.order = sorted(range(size), key=lambda i: (-solo[i], self.pool[i]))
+        # optimistic[p + s] - optimistic[p]: the s largest singletons from position p on
+        self.optimistic = list(accumulate((solo[i] for i in self.order), initial=0.0))
+        self.optimistic += self.optimistic[-1:] * size
+        self.indptr, self.indices = self.rows.indptr.tolist(), self.rows.indices.tolist()
+        self.road_weights = self.weights.tolist()
+        self.roads: list = [None] * size  # position -> (mask, ((bit, weight), ...))
+        self._greedy_steps = _greedy_prefixes(self.rows, self.weights)
+        self._greedy: list[tuple[int, float]] = []  # (pool index, covered weight) per pick
+
+    def greedy(self, k: int) -> tuple[tuple[int, ...], float]:
+        """The sorted pool nodes of the first k greedy picks, and the weight
+        they cover."""
+        self._greedy.extend(islice(self._greedy_steps, max(k - len(self._greedy), 0)))
+        steps = self._greedy[:k]
+        return tuple(sorted(self.pool[i] for i, _ in steps)), steps[-1][1] if steps else 0.0
 
 
 def exact_max_coverage(
-    instance: Instance, k: int, pool=None, cap: int = DEFAULT_ENUMERATION_CAP
+    instance: Instance,
+    k: int,
+    pool=None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    *,
+    search: CoverageSearch | None = None,
 ) -> tuple[tuple[int, ...], float]:
     """Exact max coverage by branch and bound with coverage-sum pruning.
 
@@ -153,26 +201,24 @@ def exact_max_coverage(
     depth is not limited by the recursion limit.  Returns the sorted picks
     of the first best cover found, and its value.
 
+    The order, the prefix sums, the masks and the greedy incumbent come
+    from ``search``, a ``CoverageSearch(instance, pool)`` that a caller
+    searching several budgets builds once and passes to each (``pool`` is
+    then not read); without one, the call builds its own.
+
     Raises InfeasibleError when the search would exceed ``cap`` nodes.
     """
-    pool, rows = _pool_rows(instance, pool)
+    if search is None:
+        search = CoverageSearch(instance, pool)
+    pool, order, optimistic, roads = search.pool, search.order, search.optimistic, search.roads
+    indptr, indices, road_weights = search.indptr, search.indices, search.road_weights
+    unit = search.unit
     size = len(pool)
     k = min(k, size)
     if k == 0:
         return (), 0.0
-    weights = instance.sensing.weight_vector
-    unit = bool((weights == 1.0).all())
-    solo = (rows @ weights).tolist()
-    order = sorted(range(size), key=lambda i: (-solo[i], pool[i]))
-    # optimistic[p + s] - optimistic[p]: the s largest singletons from position p on
-    optimistic = list(accumulate((solo[i] for i in order), initial=0.0))
-    optimistic += optimistic[-1:] * k
-    indptr, indices = rows.indptr.tolist(), rows.indices.tolist()
-    road_weights = weights.tolist()
-    roads: list = [None] * size  # position -> (mask, ((bit, weight), ...))
 
-    greedy_picks, best_value = greedy_max_coverage(instance, k, pool)
-    best_pick = tuple(sorted(greedy_picks))
+    best_pick, best_value = search.greedy(k)
     chosen = [0] * k  # chosen[:depth]: the pool indices taken on the path
     stack = [(0, 0, 0, 0.0)]  # (position, picks taken, covered bitset, value)
     visited = 0
@@ -211,15 +257,14 @@ def exact_max_coverage(
     return best_pick, best_value
 
 
-def _greedy_prefix_coverage_bound(instance: Instance, k: int, pool) -> float:
+def _greedy_prefix_coverage_bound(search: CoverageSearch, k: int) -> float:
     """Submodularity bound on optimal k-coverage: along the greedy prefix
     S_0, S_1, ..., the optimum is at most cov(S_t) plus the k largest
     single-node marginals at S_t; take the best t."""
-    pool, rows = _pool_rows(instance, pool)
-    rounds = greedy_cover(rows, instance.sensing.weight_vector)
+    rounds = greedy_cover(search.rows, search.weights)
     best_bound = float("inf")
     value = 0.0
-    for _ in range(min(k, len(pool)) + 1):
+    for _ in range(min(k, len(search.pool)) + 1):
         step = next(rounds, None)
         if step is None:  # every node taken
             return min(best_bound, value)
@@ -231,7 +276,12 @@ def _greedy_prefix_coverage_bound(instance: Instance, k: int, pool) -> float:
 
 
 def coverage_upper_bound(
-    instance: Instance, k: int, pool=None, cap: int = DEFAULT_ENUMERATION_CAP
+    instance: Instance,
+    k: int,
+    pool=None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    *,
+    search: CoverageSearch | None = None,
 ) -> float:
     """An upper bound on the best coverage achievable with k nodes.
 
@@ -241,36 +291,49 @@ def coverage_upper_bound(
     the k largest single-node coverages are the prefix bound at t = 0,
     summed in the same order, and the prefix bound's minimum over t is at
     most greedy / (1 - (1 - 1/k)^k), below greedy / (1 - 1/e) (Nemhauser,
-    Wolsey & Fisher 1978).
+    Wolsey & Fisher 1978).  ``search`` is as in ``exact_max_coverage``.
     """
     if k <= 0:
         return 0.0
+    if search is None:
+        search = CoverageSearch(instance, pool)
     try:
-        return exact_max_coverage(instance, k, pool, cap=cap)[1]
+        return exact_max_coverage(instance, k, pool, cap=cap, search=search)[1]
     except InfeasibleError:
         total = float(instance.sensing.weight_vector.sum())
-        return min(total, _greedy_prefix_coverage_bound(instance, k, pool))
+        return min(total, _greedy_prefix_coverage_bound(search, k))
 
 
 def phi_empty(instance: Instance) -> WelfareBreakdown:
-    """Welfare before anything is broadcast."""
-    return broadcast_breakdown(instance, ())
+    """Welfare before anything is broadcast: each user's row of
+    ``own_access`` (the matrix ``CoverageState`` counts columns of) times
+    the road weights, summed in road order.  The set route,
+    ``broadcast_breakdown(instance, ())``, gives the same values, exactly
+    under unit weights."""
+    return WelfareBreakdown.from_per_user(own_access(instance) @ instance.sensing.weight_vector)
 
 
 def ub1(
-    instance: Instance, k: int, cap: int = DEFAULT_ENUMERATION_CAP, base: float | None = None
+    instance: Instance,
+    k: int,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    base: float | None = None,
+    *,
+    search: CoverageSearch | None = None,
 ) -> float:
     """Upper bound on the static optimum: base welfare plus the best
     k-user coverage (exact when affordable, safely relaxed otherwise).
 
     ``base`` is ``phi_empty(instance).average``, computed here when not
-    given; a caller bounding many budgets passes it once.
+    given; ``search`` is a ``CoverageSearch(instance)``, built here when
+    not given.  A caller bounding many budgets passes both once.
     """
     if base is None:
         base = phi_empty(instance).average
     if k <= 0:
         return base
-    return base + coverage_upper_bound(instance, min(k, instance.user_count), cap=cap)
+    k = min(k, instance.user_count)
+    return base + coverage_upper_bound(instance, k, cap=cap, search=search)
 
 
 def static_bound(k: int, m: int) -> float:

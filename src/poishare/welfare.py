@@ -36,6 +36,7 @@ still uncovered.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -244,6 +245,23 @@ def phi_walks(instance: Instance, walks: WalkSet, route: str = "set") -> Welfare
 # ---------------------------------------------------------------------------
 
 
+def own_access(instance: Instance) -> sparse.csc_matrix:
+    """Users x roads boolean matrix in CSC form, true where a road touches
+    a node of the user's social reach and, with interest profiles, is one
+    she cares about: her own access with nothing broadcast.  Products store
+    true entries only, so column e holds one entry per user who reaches
+    road e.  ``CoverageState`` counts its columns and ``phi_empty`` sums
+    its weighted rows.  Each call builds it anew: kept on the instance, it
+    would stay in memory for the instance's lifetime."""
+    g1 = instance.sensing
+    m = instance.user_count
+    seen = zero_one_matrix(instance.social_reach, m).tocsc() @ g1.incidence[:m]
+    if instance.preferences is None:
+        return seen
+    interest = zero_one_matrix(instance.preferences.per_user_edges, g1.edge_count)
+    return seen.multiply(interest.tocsc())
+
+
 class CoverageState:
     """Incremental welfare tracker for greedy search.  Single owner; not
     shareable between threads.
@@ -256,8 +274,9 @@ class CoverageState:
     ``gain[e]`` is the road's weight times the number of interested users
     whose own access misses it.  A candidate's marginal value is then the
     gain sum over roads it newly covers, which is non-negative by
-    construction.  Both come from the column sums of ``access @ incidence``
-    (users x roads); ``gain`` is read-only for callers.
+    construction.  Both come from the column counts of ``own_access``
+    (users x roads), the matrix ``phi_empty`` takes its row sums of;
+    ``gain`` is read-only for callers.
 
     Single-node prices are read from one vector per round, taken at the
     first single-node query after construction or ``add_nodes``: the
@@ -271,16 +290,12 @@ class CoverageState:
         self.m = m
         prefs = instance.preferences
 
-        # Users x roads in CSC form; products store true entries only, so
-        # column e holds one entry per user whose own access reaches road e.
-        seen = zero_one_matrix(instance.social_reach, m).tocsc() @ g1.incidence[:m]
         if prefs is None:
             wanted = np.full(g1.edge_count, m)
         else:
-            interest = zero_one_matrix(prefs.per_user_edges, g1.edge_count).tocsc()
-            seen = seen.multiply(interest)
-            wanted = np.diff(interest.indptr)
-        seen_count = np.diff(seen.indptr)
+            interested = np.fromiter(chain.from_iterable(prefs.per_user_edges), dtype=np.intp)
+            wanted = np.bincount(interested, minlength=g1.edge_count)
+        seen_count = np.diff(own_access(instance).indptr)
 
         weights = g1.weight_vector
         self.gain = (wanted - seen_count) * weights

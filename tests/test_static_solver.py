@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from itertools import combinations
@@ -6,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import poishare as ps
-from poishare.static_solver import coverage_upper_bound, exact_max_coverage, greedy_max_coverage
+from poishare.static_solver import (
+    CoverageSearch,
+    coverage_upper_bound,
+    exact_max_coverage,
+    greedy_max_coverage,
+)
 from util import (
     assert_greedy_rounds,
     coverage_total,
@@ -214,6 +220,62 @@ def test_exact_coverage_search_is_not_bounded_by_the_recursion_limit():
     with pytest.raises(ps.InfeasibleError, match="search cap"):
         exact_max_coverage(inst, 400, cap=20_000)
     assert 1100 <= coverage_upper_bound(inst, 400, cap=20_000) <= 1200
+
+
+def test_a_shared_search_set_up_changes_no_search():
+    """One CoverageSearch serves budgets in any order, over the users and
+    over all nodes, with the picks, the value and the refusals of a search
+    that builds its own set-up."""
+    rng = random.Random(142)
+    for inst in mixed_instances(142, 40):
+        for pool in (range(inst.user_count), range(inst.node_count)):
+            ks = rng.sample(range(1, len(pool) + 1), len(pool))
+            for cap in (3, 30, 2_000):
+                search = CoverageSearch(inst, pool)
+                shared = functools.partial(exact_max_coverage, search=search)
+                for k in ks:
+                    want = _search_outcome(exact_max_coverage, inst, k, pool, cap)
+                    assert _search_outcome(shared, inst, k, pool, cap) == want, (k, cap)
+
+
+def test_ub1_from_a_shared_search_equals_separate_calls(monkeypatch):
+    """ub1 over one CoverageSearch gives every budget the bits of a separate
+    ub1 call, and the same budgets' searches raise InfeasibleError inside."""
+    real_search = ps.static_solver.exact_max_coverage
+    raised = []
+
+    def recording(instance, k, *args, **kwargs):
+        try:
+            return real_search(instance, k, *args, **kwargs)
+        except ps.InfeasibleError:
+            raised.append(k)
+            raise
+
+    monkeypatch.setattr(ps.static_solver, "exact_max_coverage", recording)
+    rng = random.Random(143)
+    paper = ps.synth_instance(ps.GenSpec(mode="gowalla-like", node_count=92, knn=4,
+                                         degree_mean=24.0, degree_sigma=8.0, seed=7))
+    *small, golden, golden_weighted = mixed_instances(143, 40)
+    cases = [(inst, cap, range(1, inst.user_count + 1))
+             for inst in small for cap in (200, 20_000, 500_000)]
+    cases += [(inst, cap, range(1, 31)) for inst in (golden, golden_weighted, paper)
+              for cap in (200, 20_000)]
+    # each search capped at 500,000 nodes takes about 0.2 s
+    cases += [(golden, 500_000, (1, 12, 13, 14)), (golden_weighted, 500_000, (1, 5, 10)),
+              (paper, 500_000, (1, 9, 17, 18))]
+    capped_budgets = 0
+    for inst, cap, budgets in cases:
+        ks = rng.sample(list(budgets), len(budgets))
+        base = ps.phi_empty(inst).average
+        search = CoverageSearch(inst)
+        shared = [ps.ub1(inst, k, cap=cap, base=base, search=search) for k in ks]
+        shared_raised = sorted(raised)
+        raised.clear()
+        assert shared == [ps.ub1(inst, k, cap=cap) for k in ks], cap
+        assert shared_raised == sorted(raised), cap
+        capped_budgets += len(raised)
+        raised.clear()
+    assert 0 < capped_budgets < sum(len(budgets) for _, _, budgets in cases)
 
 
 def test_coverage_upper_bound_dominates_exact():

@@ -450,6 +450,25 @@ def test_broadcast_breakdown_equals_the_per_road_reference():
             assert got == reference_broadcast_breakdown(inst, nodes), nodes
 
 
+def test_phi_empty_equals_the_set_route():
+    """The base welfare read from ``own_access`` sums each user's roads
+    in road order; the set route sums them in its set's order, so the two
+    agree exactly under unit weights and to 1e-9 under weights."""
+    rng = random.Random(141)
+    instances = mixed_instances(141, 60)
+    instances += [reweighted(inst, rng) for inst in instances]
+    kinds = {(inst.sensing.edge_weights is None, inst.preferences is None) for inst in instances}
+    assert len(kinds) == 4
+    for inst in instances:
+        got = ps.phi_empty(inst)
+        want = ps.broadcast_breakdown(inst, ())
+        if inst.sensing.edge_weights is None:
+            assert got == want
+        else:
+            assert got.per_user == pytest.approx(want.per_user, rel=0, abs=1e-9)
+            assert got.average == pytest.approx(want.average, rel=0, abs=1e-9)
+
+
 def test_crosscheck_counts_nan_as_disagreement():
     unit = path3()
     weighted = dataclasses.replace(unit, sensing=dataclasses.replace(
