@@ -27,9 +27,13 @@ taken while it ran, one every 0.1 s, so a request that gets near that
 interval can end a run with no probe inside it.  ``--instance-seed``
 passes the held-out instance seed on, to confirm a claim on it.
 
-``regressed`` lists the flagged metrics.  Only the standard library is
-used, so the script runs before either checkout's dependencies are
-imported.
+``regressed`` lists the flagged metrics.  Before every run the script
+deletes the ``__pycache__`` directories inside the checkout, so both sides
+start without compiled bytecode of their own code, whatever earlier runs
+left.  (A fresh ``PYTHONPYCACHEPREFIX`` per run would do that too, but it
+also hides the installed packages' bytecode, so every set-up would compile
+numpy and scipy.)  Only the standard library is used, so the script runs
+before either checkout's dependencies are imported.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import json
 import os
 import platform
 import statistics
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,9 +82,16 @@ def _commit(checkout: Path) -> str | None:
     return done.stdout.strip()
 
 
+def _clear_bytecode(checkout: Path) -> None:
+    """Delete the checkout's ``__pycache__`` directories."""
+    for cache in list(checkout.rglob("__pycache__")):
+        shutil.rmtree(cache)
+
+
 def _run(checkout: Path, argv: list[str]) -> dict:
     """One benchmark run: its ``correct``/``attempted``/``failed`` and the
     value of each end-to-end metric, from the last line of stdout."""
+    _clear_bytecode(checkout)
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:

@@ -7,10 +7,20 @@ connect the locations with a symmetrized k-nearest-neighbor road graph
 degrees follow a clipped Gaussian.  Every generator is deterministic in
 its seed.
 
-Every distance is ``haversine_km`` on the two points in index order, so a
-pair has the same bits whether a dense matrix or a row of scipy's
-condensed (upper-triangle) vector holds it.  Clustering computes each
-pair once, into the condensed vector; scipy's ``linkage`` is imported
+Every distance goes through one private kernel, ``_km``, which reads each
+point's latitude and longitude in radians and the cosine of its latitude,
+computed once per point.  It performs ``haversine_km``'s operations in
+the same order, so a pair has the bits of ``haversine_km`` on the two
+points in index order wherever it is computed: in a row of scipy's
+condensed (upper-triangle) vector for clustering, or in a block of rows
+in ``build_roads``, which builds no n-by-n array.
+
+Clustering m check-ins is O(m^2) in time and memory: it computes each
+pair once, into the condensed vector, and ``linkage`` copies that vector.
+``cluster_locations`` refuses check-in counts whose two copies would
+exceed ``MAX_CLUSTER_BYTES`` (about 11,500 check-ins), and ``gen``
+refuses sizes above ``MAX_GEN_NODES`` and ``MAX_GEN_ROADS``, before
+anything of that size is allocated.  scipy's ``linkage`` is imported
 only when a clustering runs, so no other command loads ``scipy.cluster``
 or ``scipy.spatial``.
 """
@@ -18,6 +28,7 @@ or ``scipy.spatial``.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -31,6 +42,21 @@ from .mobile_solver import mobile_reduction_instance
 log = logging.getLogger(__name__)
 
 EARTH_RADIUS_KM = 6371.0088
+#: Rows per block of the streamed pairwise distances in ``build_roads``.
+_BLOCK_ROWS = 256
+
+#: Largest node or user count ``gen`` draws.  Every mode makes a pass over
+#: all node pairs: distances for ``gowalla-like``, Erdős–Rényi draws
+#: otherwise.  ``gen --mode gowalla-like`` took 9-13 s at 10,000 nodes on
+#: a 2-vCPU host, and its pairwise passes grow with n squared.
+MAX_GEN_NODES = 20_000
+#: Largest road count ``gen`` draws: the expected count of an Erdős–Rényi
+#: draw, and the exact count of the mobile gadget built on it.  A million
+#: roads took 8-12 s and 540-630 MB to write on a 2-vCPU host.
+MAX_GEN_ROADS = 1_000_000
+#: Largest size of clustering's condensed distances plus the copy
+#: ``linkage`` makes, 8 * m * (m - 1) bytes for m check-ins: about 11,500.
+MAX_CLUSTER_BYTES = 1 << 30
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -129,18 +155,42 @@ def haversine_km(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
 
 
+def _radians(coords: np.ndarray):
+    """Per point, the latitude and longitude in radians and the cosine of
+    the latitude: the operands ``_km`` reads, computed once."""
+    lat, lon = np.radians(coords[:, 0]), np.radians(coords[:, 1])
+    return lat, lon, np.cos(lat)
+
+
+def _km(p1, l1, c1, p2, l2, c2):
+    """``haversine_km`` from radians ``p``, ``l`` and cosines ``c`` of the
+    latitudes: the same operations per element in the same order, so the
+    same bits.  Operands broadcast as in numpy."""
+    a = np.sin((p2 - p1) / 2.0) ** 2 + c1 * c2 * np.sin((l2 - l1) / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
+
+
 def _condensed_haversine(coords: np.ndarray) -> np.ndarray:
     """Distances of all pairs i < j in scipy's condensed order, filled one
     row at a time: entry (i, j) is ``haversine_km(point i, point j)``."""
-    lat, lon = coords[:, 0], coords[:, 1]
+    lat, lon, cos = _radians(coords)
     n = len(coords)
     out = np.empty(n * (n - 1) // 2)
     start = 0
     for i in range(n - 1):
         stop = start + n - 1 - i
-        out[start:stop] = haversine_km(lat[i], lon[i], lat[i + 1:], lon[i + 1:])
+        out[start:stop] = _km(lat[i], lon[i], cos[i], lat[i + 1:], lon[i + 1:], cos[i + 1:])
         start = stop
     return out
+
+
+def _row_blocks(points):
+    """The distances from each block of ``_BLOCK_ROWS`` points to every
+    point, as (first row, block of ``haversine_km`` values) in row order."""
+    lat, lon, cos = points
+    for start in range(0, len(lat), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        yield start, _km(lat[rows, None], lon[rows, None], cos[rows, None], lat, lon, cos)
 
 
 def cluster_locations(checkins, target_count: int):
@@ -166,6 +216,12 @@ def cluster_locations(checkins, target_count: int):
 
     parent = list(range(n))
     if n > 1 and target_count < n:
+        if 8 * n * (n - 1) > MAX_CLUSTER_BYTES:
+            raise InputError(
+                f"clustering {n} check-ins needs {8 * n * (n - 1) / 2**20:.0f} MiB of pairwise "
+                f"distances, above the {MAX_CLUSTER_BYTES / 2**20:.0f} MiB limit; "
+                "crop them with a smaller bounding box"
+            )
         # Deferred: scipy.cluster pulls in scipy.spatial and scipy.linalg,
         # which no other command needs.
         from scipy.cluster.hierarchy import linkage
@@ -204,55 +260,77 @@ def build_roads(locations, knn: int) -> tuple[tuple[int, int], ...]:
 
     Each location picks its ``knn`` nearest others, ties going to the lower
     index; an edge is kept when either endpoint picks the other.  The join
-    is Kruskal's pass over all pairs in (distance, i, j) order, which adds
-    the shortest remaining cross-component pair until one component is
-    left."""
+    adds the edges of Kruskal's pass over all pairs in (distance, i, j)
+    order, which adds the least remaining cross-component pair until one
+    component is left.  Under that strict order those edges are the unique
+    minimum spanning forest of the graph with each k-NN component
+    contracted to a node, so Borůvka's rounds (1926) find the same ones:
+    each round adds, for every component, its least outgoing pair.
+
+    No n-by-n array is built.  Both the k-NN pick and each join round
+    stream the distances in blocks of ``_BLOCK_ROWS`` rows from ``_km``;
+    a row's entries are ``haversine_km`` of the same two points either
+    way, so the edges do not depend on the block size.  Memory is
+    O(n * _BLOCK_ROWS)."""
     if knn < 1:
         raise InputError(f"knn must be >= 1, got {knn}")
     n = len(locations)
     if n < 2:
         raise InputError(f"need at least 2 locations to build roads, got {n}")
-    coords = np.asarray(locations, dtype=np.float64)
-    lat, lon = coords[:, 0][:, None], coords[:, 1][:, None]
-    dist = haversine_km(lat, lon, lat.T, lon.T)
-    np.fill_diagonal(dist, np.inf)
+    points = _radians(np.asarray(locations, dtype=np.float64))
 
     # Keep every entry up to each row's k-th smallest distance, order the
     # kept ones by (row, distance, column) and take the first k per row.
     k = min(knn, n - 1)
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    rows, cols = np.nonzero(dist <= kth[:, None])
-    order = np.lexsort((cols, dist[rows, cols], rows))
-    rows, cols = rows[order], cols[order]
-    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    rows, cols = rows[rank < k], cols[rank < k]
-    edges = set(zip(np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()))
+    edges: set[tuple[int, int]] = set()
+    for start, dist in _row_blocks(points):
+        dist[np.arange(len(dist)), np.arange(start, start + len(dist))] = np.inf
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(dist <= kth[:, None])
+        order = np.lexsort((cols, dist[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        rows, cols = rows[rank < k] + start, cols[rank < k]
+        edges.update(zip(np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()))
 
     parent = list(range(n))
-    components = n
     for u, v in edges:
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-            components -= 1
-    if components > 1:
-        first, second = np.triu_indices(n, 1)
-        by_distance = np.argsort(dist[first, second], kind="stable")
-        for i, j in zip(first[by_distance].tolist(), second[by_distance].tolist()):
-            ri, rj = _find(parent, i), _find(parent, j)
-            if ri != rj:
-                edges.add((i, j))
-                parent[ri] = rj
-                components -= 1
-                if components == 1:
-                    break
-    return tuple(sorted(edges))
+        parent[_find(parent, u)] = _find(parent, v)
+    while True:
+        component = np.array([_find(parent, i) for i in range(n)])
+        if (component == component[0]).all():
+            return tuple(sorted(edges))
+        # Each row's least outgoing pair: the nearest point of another
+        # component, the lowest index among ties, which also has the least
+        # (distance, lower end, higher end) key among the row's pairs.
+        near = np.empty(n, dtype=np.int64)
+        near_km = np.empty(n)
+        for start, dist in _row_blocks(points):
+            stop = start + len(dist)
+            dist[component[start:stop, None] == component] = np.inf
+            near[start:stop] = np.argmin(dist, axis=1)
+            near_km[start:stop] = dist[np.arange(len(dist)), near[start:stop]]
+        low, high = np.minimum(np.arange(n), near), np.maximum(np.arange(n), near)
+        order = np.lexsort((high, low, near_km, component))
+        least = order[np.unique(component[order], return_index=True)[1]]
+        for i, j in zip(low[least].tolist(), high[least].tolist()):
+            edges.add((i, j))
+            parent[_find(parent, i)] = _find(parent, j)
+
+
+def _check_degrees(degree_mean: float, degree_sigma: float) -> None:
+    if not (math.isfinite(degree_mean) and math.isfinite(degree_sigma) and degree_sigma >= 0):
+        raise InputError(
+            f"social degree mean {degree_mean} and sigma {degree_sigma} must be finite, "
+            "and sigma >= 0"
+        )
 
 
 def synth_social(m: int, degree_mean: float, degree_sigma: float, seed: int) -> SocialGraph:
     """Random social graph whose target degrees are Gaussian draws rounded
     and clipped to [0, m-1], realized by repeated random stub matching
     with duplicate and self pairings rejected."""
+    _check_degrees(degree_mean, degree_sigma)
     if m < 1:
         raise InputError(f"need at least 1 user, got {m}")
     rng = np.random.default_rng(seed)
@@ -307,6 +385,14 @@ class GenSpec:
 def _er_edges(rng, node_count: int, edge_prob: float) -> tuple[tuple[int, int], ...]:
     """Erdős–Rényi roads, each pair i < j kept with probability ``edge_prob``;
     a row's uniforms are drawn at once, the same numbers as one draw per pair."""
+    if not 0.0 <= edge_prob <= 1.0:
+        raise InputError(f"edge probability {edge_prob} is outside [0, 1]")
+    expected = edge_prob * node_count * (node_count - 1) / 2
+    if expected > MAX_GEN_ROADS:
+        raise InputError(
+            f"{node_count} nodes at edge probability {edge_prob} draw {expected:.0f} roads "
+            f"on average, above the limit of {MAX_GEN_ROADS}"
+        )
     out = []
     for i in range(node_count):
         hits = np.flatnonzero(rng.random(node_count - 1 - i) < edge_prob) + (i + 1)
@@ -315,7 +401,13 @@ def _er_edges(rng, node_count: int, edge_prob: float) -> tuple[tuple[int, int], 
 
 
 def synth_instance(spec: GenSpec) -> Instance:
-    """Compose the generators into a validated instance."""
+    """Compose the generators into a validated instance.  Counts and
+    parameters outside the generators' limits are refused before any
+    drawing."""
+    for name, count in (("node count", spec.node_count), ("user count", spec.user_count)):
+        if count is not None and not 1 <= count <= MAX_GEN_NODES:
+            raise InputError(f"{name} {count} is outside [1, {MAX_GEN_NODES}]")
+    _check_degrees(spec.degree_mean, spec.degree_sigma)
     rng = np.random.default_rng(spec.seed)
     if spec.mode == "synthetic-random":
         m = spec.user_count if spec.user_count is not None else spec.node_count
@@ -346,6 +438,12 @@ def synth_instance(spec: GenSpec) -> Instance:
         if spec.reduction_kind == "vcp":
             instance = vcp_reduction_instance(base_nodes, edges)
         elif spec.reduction_kind == "mobile":
+            gadget_roads = len(edges) + base_nodes * (spec.hops + len(edges))
+            if gadget_roads > MAX_GEN_ROADS:
+                raise InputError(
+                    f"the mobile gadget would have {gadget_roads} roads, "
+                    f"above the limit of {MAX_GEN_ROADS}"
+                )
             static = Instance(
                 sensing=SensingGraph(node_count=base_nodes, user_count=base_nodes, edges=edges),
                 social=synth_social(
@@ -378,6 +476,7 @@ def ingest_instance(
 ) -> Instance:
     """Full ingestion: crop, cluster, build roads, synthesize the social
     graph.  Every clustered location hosts a user."""
+    _check_degrees(degree_mean, degree_sigma)
     records = filter_bbox(checkins, bbox) if bbox is not None else list(checkins)
     if not records:
         raise InputError("no check-ins remain after bounding-box filtering")

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 
@@ -305,3 +306,39 @@ def test_solve_mobile_refuses_long_walks_up_front(tmp_path, capsys):
     assert time.monotonic() - start < 5.0
     err = capsys.readouterr().err
     assert "10338608 walks of 7 edges" in err and "cap 2000000" in err
+
+
+def _spread_checkins(path, count: int) -> str:
+    path.write_text("".join(f"u{i}\t2010-01-01T00:00:00Z\t{30 + i * 1e-6:.6f}\t-97.0\tl{i}\n"
+                            for i in range(count)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--mode", "gowalla-like", "--nodes", "-5"], "node count -5 is outside"),
+    (["gen", "--mode", "gowalla-like", "--nodes", "1000000"], "node count 1000000 is outside"),
+    (["gen", "--mode", "synthetic-random", "--users", "0"], "user count 0 is outside"),
+    (["gen", "--mode", "gowalla-like", "--social-sigma", "-1"], "sigma -1.0 must be finite"),
+    (["gen", "--mode", "gowalla-like", "--social-mean", "nan"], "mean nan and sigma"),
+    (["gen", "--mode", "synthetic-random", "--edge-prob", "-0.5"], "probability -0.5 is outside"),
+    (["gen", "--mode", "synthetic-random", "--edge-prob", "1.5"], "probability 1.5 is outside"),
+    (["gen", "--mode", "synthetic-random", "--edge-prob", "nan"], "probability nan is outside"),
+    (["gen", "--mode", "synthetic-random", "--nodes", "20000"], "above the limit of 1000000"),
+    (["gen", "--mode", "reduction", "--kind", "mobile", "--nodes", "300"],
+     "mobile gadget would have"),
+    (["ingest", "{checkins}", "--social-sigma", "-1"], "sigma -1.0 must be finite"),
+    (["ingest", "{many}"], "limit; crop them"),
+])
+def test_gen_and_ingest_refuse_bad_or_oversized_inputs_up_front(tmp_path, capsys, argv, message):
+    # the smallest check-in count whose clustering distances exceed the limit
+    limit = ps.pipeline.MAX_CLUSTER_BYTES
+    many = next(n for n in range(math.isqrt(limit // 8), limit) if 8 * n * (n - 1) > limit)
+    counts = {"{checkins}": 100, "{many}": many}
+    argv = [_spread_checkins(tmp_path / "checkins.tsv", counts[a]) if a in counts else a
+            for a in argv] + ["--out", str(tmp_path / "out.json")]
+    start = time.monotonic()
+    assert main(argv) == 1
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()

@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import poishare as ps
 from poishare.cli import main
+from poishare import pipeline
 from poishare.pipeline import EARTH_RADIUS_KM, _condensed_haversine, _er_edges
-from util import reference_build_roads, reference_er_edges
+from util import reference_build_roads, reference_er_edges, reference_knn_edges
 
 
 GOOD_LINES = (
@@ -346,3 +347,77 @@ print(json.dumps([after_import, loaded()]))
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [[], []]
+
+
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def _assert_blocks_match_haversine(coords: np.ndarray) -> None:
+    lat, lon = coords[:, :1], coords[:, 1:]
+    dense = ps.haversine_km(lat, lon, lat.T, lon.T)
+    starts, blocks = zip(*pipeline._row_blocks(pipeline._radians(coords)))
+    assert starts == tuple(range(0, len(coords), pipeline._BLOCK_ROWS))
+    assert np.array_equal(_bits(np.vstack(blocks)), _bits(dense))
+
+
+def test_row_blocks_match_haversine_bits():
+    # three blocks and a partial fourth at the real block size, with copies
+    # of one point on both sides of each block edge
+    rng = np.random.default_rng(68)
+    size = pipeline._BLOCK_ROWS
+    coords = np.column_stack([rng.uniform(-80, 80, 3 * size + 5), rng.uniform(-179, 179, 3 * size + 5)])
+    for row in (size - 1, size, 2 * size - 1, 2 * size, 3 * size):
+        coords[row] = coords[0]
+    _assert_blocks_match_haversine(coords)
+
+
+def test_row_blocks_property_match_haversine_bits(monkeypatch):
+    # Run inside a plain test, as test_build_roads_property_matches_reference.
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(points=st.lists(st.one_of(_grid_point, _any_point), min_size=16, max_size=40),
+           block=st.integers(1, 5))
+    def matches(points, block):
+        monkeypatch.setattr(pipeline, "_BLOCK_ROWS", block)
+        _assert_blocks_match_haversine(np.array(points, dtype=np.float64))
+
+    matches()
+
+
+def _knn_components(points, knn: int) -> int:
+    parent = list(range(len(points)))
+    for u, v in reference_knn_edges(points, knn):
+        parent[pipeline._find(parent, u)] = pipeline._find(parent, v)
+    return len({pipeline._find(parent, i) for i in range(len(points))})
+
+
+def test_boruvka_join_matches_reference_across_blocks(monkeypatch):
+    rng = random.Random(69)
+    grid = [(0.01 * r, 0.01 * c) for r in range(7) for c in range(7)]  # exact ties
+    point_sets = [(grid, 1), (grid[::-1], 1), (grid + grid[:9], 2)]
+    point_sets += [(_clumped_points(rng, rng.randint(20, 70), spots=rng.randint(2, 9)), 1)
+                   for _ in range(6)]
+    for points, knn in point_sets:
+        assert _knn_components(points, knn) > 1  # the join has work to do
+    # Sparse grid subsets: a component's least outgoing pairs tie in
+    # distance, so the (i, j) tie-break decides which road joins it.
+    cells = [(0.01 * r, 0.01 * c) for r in range(-3, 4) for c in range(-3, 4)]
+    point_sets += [(rng.sample(cells, rng.randint(4, 16)), rng.randint(1, 2)) for _ in range(60)]
+    for points, knn in point_sets:
+        expected = reference_build_roads(points, knn)
+        for block in (1, 3, 8, 256):
+            monkeypatch.setattr(pipeline, "_BLOCK_ROWS", block)
+            assert ps.build_roads(points, knn) == expected, (len(points), knn, block)
+
+
+@pytest.mark.parametrize("nodes, digest", [
+    (1000, "5907996fcbb779fa1998fb88b7a1f96975722702fc7b83c44c6f1bfbd3dff64c"),
+    (3000, "d3e9b469a65b4a93c384cd2fa8a97fafb9a1ddb0bc74d4f3e177e79b64203a3e"),
+])
+def test_gen_gowalla_like_output_is_frozen(tmp_path, nodes, digest):
+    # The dense n-by-n build gave these bytes; at 1,000 nodes the k-NN graph
+    # has three components, so the join adds roads.
+    out = tmp_path / "instance.json"
+    assert main(["gen", "--mode", "gowalla-like", "--nodes", str(nodes), "--seed", "7",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

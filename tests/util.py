@@ -350,23 +350,35 @@ def reference_exact_max_coverage(instance: ps.Instance, k: int, pool=None,
     return best_pick, best_value
 
 
+def _reference_distances(locations) -> np.ndarray:
+    coords = np.asarray(locations, dtype=np.float64)
+    lat, lon = coords[:, 0][:, None], coords[:, 1][:, None]
+    dist = ps.haversine_km(lat, lon, lat.T, lon.T)
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+def reference_knn_edges(locations, knn: int) -> set[tuple[int, int]]:
+    """The symmetrized k-NN edges of ``reference_build_roads``, before its join."""
+    dist = _reference_distances(locations)
+    n = len(dist)
+    edges: set[tuple[int, int]] = set()
+    for i in range(n):
+        order = np.lexsort((np.arange(n), dist[i]))
+        for j in order[: min(knn, n - 1)]:
+            edges.add((min(i, int(j)), max(i, int(j))))
+    return edges
+
+
 def reference_build_roads(locations, knn: int) -> tuple[tuple[int, int], ...]:
     """``build_roads`` as first written, as its oracle: a dense distance
     matrix, one ``lexsort`` by (distance, index) per row for the k-NN
     picks, then per extra component a full scan of all pairs for the
     shortest (distance, i, j) cross-component one.  The join is O(n^3) in
     the worst case: use it on small point sets only."""
-    coords = np.asarray(locations, dtype=np.float64)
-    n = len(coords)
-    lat, lon = coords[:, 0][:, None], coords[:, 1][:, None]
-    dist = ps.haversine_km(lat, lon, lat.T, lon.T)
-    np.fill_diagonal(dist, np.inf)
-
-    edges: set[tuple[int, int]] = set()
-    for i in range(n):
-        order = np.lexsort((np.arange(n), dist[i]))
-        for j in order[: min(knn, n - 1)]:
-            edges.add((min(i, int(j)), max(i, int(j))))
+    dist = _reference_distances(locations)
+    n = len(dist)
+    edges = reference_knn_edges(locations, knn)
 
     parent = list(range(n))
 
