@@ -7,19 +7,19 @@ For each node count it builds the instance with
     poishare gen --mode gowalla-like --seed 7 --nodes N --out FILE
 
 and then runs on it ``solve-static -k 30 --route both``,
-``solve-mobile -n 2 -k 10 -g 1`` and ``sweep --k-range 1:30``.  Every
-command runs ``REPEATS`` times, each time in a fresh child of a fresh
-wrapper process, so the wrapper's ``RUSAGE_CHILDREN`` peak resident set
-is the command's own.  Before each run the checkout's ``__pycache__``
-directories are deleted, so no side imports bytecode an earlier run left.
+``solve-mobile -n 2 -k 10 -g 1``, ``solve-mobile -n 3 -k 10 -g 1 --route
+both`` and ``sweep --k-range 1:30``.  Every command runs ``REPEATS``
+times, each time in a fresh child of a fresh wrapper process, so the
+wrapper's ``RUSAGE_CHILDREN`` peak resident set is the command's own.
+Before each run the checkout's ``__pycache__`` directories are deleted,
+so no side imports bytecode an earlier run left.
 
-The change runs at every node count in ``NODES``.  The parent, when
-given, runs only at ``PARENT_NODES``: it builds the instance with a dense
-n-by-n distance matrix, about 7 GB at 10,000 nodes.  Repetitions
-alternate which side runs first.  The file records every run, and per
-command the median wall time, the largest peak, and the SHA-256 of the
-instance each side built.  Only the standard library is used; it shares
-its host and commit records with ``bench_pairs.py`` beside it.
+The change, and the parent when given, run at every node count in
+``NODES``.  Repetitions alternate which side runs first.  The file
+records every run, and per command the median wall time, the largest
+peak, and the SHA-256 of the instance each side built.  Only the
+standard library is used; it shares its host and commit records with
+``bench_pairs.py`` beside it.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ from pathlib import Path
 from bench_pairs import _clear_bytecode, _commit, _host
 
 NODES = (1000, 3000, 10000)
-PARENT_NODES = (1000, 3000)
 REPEATS = 3
 SEED = 7
 REQUESTS = (
     ("solve-static", "{instance}", "-k", "30", "--route", "both"),
     ("solve-mobile", "{instance}", "-n", "2", "-k", "10", "-g", "1"),
+    ("solve-mobile", "{instance}", "-n", "3", "-k", "10", "-g", "1", "--route", "both"),
     ("sweep", "{instance}", "--k-range", "1:30"),
 )
 
@@ -105,9 +105,7 @@ def _measure(nodes: int, sides: dict[str, Path], work: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="scripts/bench_scale.py")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--parent", type=Path, default=None,
-                        help=f"checkout of the parent, run at {', '.join(map(str, PARENT_NODES))} "
-                        "nodes only")
+    parser.add_argument("--parent", type=Path, default=None, help="checkout of the parent")
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_*.json to write")
     args = parser.parse_args(argv)
 
@@ -118,9 +116,7 @@ def main(argv=None) -> int:
               "host": _host(), "repeats": REPEATS, "seed": SEED, "nodes": {}}
     with tempfile.TemporaryDirectory(prefix="bench_scale_") as work:
         for nodes in NODES:
-            sides = {side: path for side, path in checkouts.items()
-                     if side == "change" or nodes in PARENT_NODES}
-            report["nodes"][str(nodes)] = _measure(nodes, sides, Path(work))
+            report["nodes"][str(nodes)] = _measure(nodes, checkouts, Path(work))
             args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

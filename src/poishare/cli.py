@@ -32,7 +32,7 @@ from .static_solver import (
     ub1,
 )
 from .mobile_solver import adjusted_gps, gps, mobile_bound, ub2
-from .welfare import ROUTES, CoverageState, phi_walks
+from .welfare import ROUTES, CoverageState
 
 CSV_HEADER = "k,algorithm,welfare,upper_bound,ratio,bound,wall_time_ms,seed"
 
@@ -237,25 +237,20 @@ def _cmd_solve_mobile(args) -> int:
     instance = instance_io.load_instance(args.instance)
     t0 = time.monotonic()
     if args.adjusted:
-        result = adjusted_gps(instance, args.n, args.k)
+        result = adjusted_gps(instance, args.n, args.k, route=args.route)
         algorithm = "adjusted-gps"
         bound = mobile_bound(args.k, instance.node_count, args.k)
     else:
-        result = gps(instance, args.n, args.k, args.g)
+        result = gps(instance, args.n, args.k, args.g, route=args.route)
         algorithm = "gps"
         bound = mobile_bound(args.k, instance.node_count, args.g)
     elapsed_ms = (time.monotonic() - t0) * 1000.0
-    if args.route in ("matrix", "both"):
-        # re-evaluate through the requested route; 'both' raises on mismatch
-        result_welfare = phi_walks(instance, result.walks, route=args.route)
-    else:
-        result_welfare = result.welfare
     upper = ub2(instance, args.n, args.k, cap=args.cap)
     walks = [list(w.nodes) for w in result.walks.walks]
     summary = [f"walk: {' '.join(map(str, w))}" for w in walks]
-    return _print_result(args, algorithm, result_welfare.average, upper, bound, elapsed_ms, summary, {
+    return _print_result(args, algorithm, result.welfare.average, upper, bound, elapsed_ms, summary, {
         "walks": walks,
-        "per_user": list(result_welfare.per_user),
+        "per_user": list(result.welfare.per_user),
     })
 
 

@@ -15,6 +15,7 @@ from itertools import combinations, islice
 from math import comb
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InfeasibleError, InputError
 from .model import Instance, Selection, SensingGraph, Walk, WalkSet, zero_one_matrix
@@ -105,32 +106,44 @@ def _require_selectable(space: WalkSpace, g: int, k: int) -> None:
 
 def _visited_sets(space: WalkSpace, incidence):
     """Distinct visited-node sets of the walks as a set x road boolean CSR
-    matrix, and the row of each walk."""
+    matrix, and the row of each walk.
+
+    A walk's key is its sorted nodes with each repeat replaced by the
+    sentinel ``node_count``, sorted again, so equal visited sets have equal
+    keys.  One ``lexsort`` with column 0 as the primary key orders the keys
+    row-lexicographically, which is the order ``np.unique(axis=0)`` gives its
+    distinct rows: the sets keep that order and ``row_of`` those indices.
+    The set x node matrix is assembled straight from the distinct keys, with
+    the arrays and dtypes ``zero_one_matrix`` would build for them.
+    """
     node_count = incidence.shape[0]
     keys = np.sort(space.nodes, axis=1)
     tail = keys[:, 1:]
     tail[tail == keys[:, :-1]] = node_count  # a repeated node sorts last
     keys.sort(axis=1)
-    sets, row_of = np.unique(keys, axis=0, return_inverse=True)
-    roads = zero_one_matrix([row[row < node_count] for row in sets], node_count) @ incidence
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    row_of = np.empty(len(ordered), dtype=np.intp)
+    row_of[order] = np.cumsum(first) - 1
+    sets = ordered[first]
+    real = sets < node_count
+    indptr = np.concatenate(([0], np.cumsum(real.sum(axis=1), dtype=np.int64)))
+    nodes = sparse.csr_matrix(
+        (np.ones(int(indptr[-1]), dtype=bool), sets[real].astype(np.int32), indptr),
+        shape=(len(sets), node_count),
+    )
+    roads = nodes @ incidence
     roads.sort_indices()
-    return roads, row_of.reshape(-1)
+    return roads, row_of
 
 
-def gps(
-    instance: Instance,
-    n: int,
-    k: int,
-    g: int,
-    space: WalkSpace | None = None,
-) -> MobileResult:
-    """Greedy path selection with augmentation factor g.
-
-    k rounds of argmax marginal welfare over the live candidate walks;
-    once a start node has g selected walks, all of its remaining
-    candidates leave the search space.  Ties go to the lexicographically
-    least walk.  Walks that visit the same node set share one scored row.
-    """
+def _greedy_walks(
+    instance: Instance, n: int, k: int, g: int, space: WalkSpace | None
+) -> tuple[WalkSet, tuple[tuple[Walk, float], ...], frozenset[int]]:
+    """The k greedy picks of ``gps``, its trace and pruned starts, without
+    evaluating the welfare of the picked walk set."""
     if k < 1:
         raise InputError(f"budget k must be >= 1, got {k}")
     if not 1 <= g <= k:
@@ -150,15 +163,32 @@ def gps(
     )
     # a start's cap prunes only when filled before the last pick
     earlier = [walk.start for walk, _ in trace[:-1]]
-    pruned = {start for start in earlier if earlier.count(start) == g}
+    pruned = frozenset(start for start in earlier if earlier.count(start) == g)
+    return WalkSet(tuple(walk for walk, _ in trace), augmentation=g), trace, pruned
 
-    walk_set = WalkSet(tuple(walk for walk, _ in trace), augmentation=g)
-    welfare = phi_walks(instance, walk_set)
+
+def gps(
+    instance: Instance,
+    n: int,
+    k: int,
+    g: int,
+    space: WalkSpace | None = None,
+    route: str = "set",
+) -> MobileResult:
+    """Greedy path selection with augmentation factor g.
+
+    k rounds of argmax marginal welfare over the live candidate walks;
+    once a start node has g selected walks, all of its remaining
+    candidates leave the search space.  Ties go to the lexicographically
+    least walk.  Walks that visit the same node set share one scored row.
+    ``route`` picks how the final welfare is evaluated, as in ``gus``.
+    """
+    walk_set, trace, pruned = _greedy_walks(instance, n, k, g, space)
     return MobileResult(
         walks=walk_set,
-        welfare=welfare,
+        welfare=phi_walks(instance, walk_set, route=route),
         trace=trace,
-        pruned_starts=frozenset(pruned),
+        pruned_starts=pruned,
     )
 
 
@@ -216,7 +246,7 @@ def adjust_walk_set(walks: WalkSet, n: int) -> WalkSet:
 
 
 def adjusted_gps(
-    instance: Instance, n: int, k: int, space: WalkSpace | None = None
+    instance: Instance, n: int, k: int, space: WalkSpace | None = None, route: str = "set"
 ) -> MobileResult:
     """Post-processed greedy path selection for all-user sensing graphs.
 
@@ -225,7 +255,8 @@ def adjusted_gps(
     node set, hence the welfare.  When rewriting drops walks (all their
     nodes already start kept walks), the solution is topped back up to k
     walks from unused start nodes, preferring candidates confined to
-    already-visited nodes.
+    already-visited nodes.  Only the final walk set is evaluated, through
+    ``route``.
     """
     if instance.user_count != instance.node_count:
         raise InfeasibleError(
@@ -234,26 +265,22 @@ def adjusted_gps(
         )
     if space is None:
         space = enumerate_walks(instance, n)
-    base = gps(instance, n, k, g=k, space=space)
+    base, trace, pruned = _greedy_walks(instance, n, k, k, space)
 
-    adjusted = adjust_walk_set(base.walks, n)
-    kept = list(adjusted.walks)
+    kept = list(adjust_walk_set(base, n).walks)
     if len(kept) < k:
         _pad_distinct_starts(kept, space, base, k)
 
     walk_set = WalkSet(tuple(kept), augmentation=1)
-    welfare = phi_walks(instance, walk_set)
     return MobileResult(
         walks=walk_set,
-        welfare=welfare,
-        trace=base.trace,
-        pruned_starts=base.pruned_starts,
+        welfare=phi_walks(instance, walk_set, route=route),
+        trace=trace,
+        pruned_starts=pruned,
     )
 
 
-def _pad_distinct_starts(
-    kept: list[Walk], space: WalkSpace, base: MobileResult, k: int
-) -> None:
+def _pad_distinct_starts(kept: list[Walk], space: WalkSpace, base: WalkSet, k: int) -> None:
     """Top a short adjusted solution back up to k walks.
 
     Replacements must use fresh start nodes; candidates confined to
@@ -261,7 +288,7 @@ def _pad_distinct_starts(
     welfare unchanged.
     """
     starts = {w.start for w in kept}
-    visited = set(base.walks.visited_nodes)
+    visited = set(base.visited_nodes)
     for walk in kept:
         visited.update(walk.nodes)
     neutral = [

@@ -264,6 +264,36 @@ def test_sweep_evaluates_the_base_welfare_and_no_gus_selection(tiny_instance_pat
     assert calls == []
 
 
+@pytest.mark.parametrize("solver", [["-g", "1"], ["--adjusted"]])
+@pytest.mark.parametrize("route, expected", [("set", (1, 0)), ("matrix", (0, 1)), ("both", (1, 1))])
+def test_solve_mobile_evaluates_its_answer_once(tiny_instance_path, capsys, monkeypatch, solver,
+                                                route, expected):
+    # (set-route, matrix-route) evaluations per request; the greedy's own
+    # picks and the g = k run behind --adjusted are never evaluated
+    real_breakdown = ps.welfare.broadcast_breakdown
+    real_matrix = ps.welfare.phi_walks_matrix
+    calls = {"set": 0, "matrix": 0}
+
+    def counted_breakdown(instance, broadcast_nodes):
+        calls["set"] += 1
+        return real_breakdown(instance, broadcast_nodes)
+
+    def counted_matrix(instance, walks):
+        calls["matrix"] += 1
+        return real_matrix(instance, walks)
+
+    for module in (ps, ps.welfare, ps.static_solver, ps.mobile_solver, ps.cli):
+        for name, counted in (("broadcast_breakdown", counted_breakdown),
+                              ("phi_walks_matrix", counted_matrix)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    argv = ["solve-mobile", tiny_instance_path, "-n", "1", "-k", "2", "--route", route,
+            "--format", "json", *solver]
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["walks"]) == 2
+    assert (calls["set"], calls["matrix"]) == expected
+
+
 def test_sweep_gus_welfares_equal_a_replay_of_the_gus_trace():
     for inst in mixed_instances(134, 30):
         k_max = min(inst.user_count, 12)

@@ -1,11 +1,15 @@
+import hashlib
 import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import poishare as ps
 from poishare import mobile_solver
+from poishare.cli import main
 from poishare.mobile_solver import intermediate_solution
+from poishare.welfare import ROUTES
 from util import (
     assert_greedy_rounds,
     exact_total,
@@ -440,3 +444,95 @@ def test_gps_takes_a_best_gain_under_weights():
         assert_greedy_rounds(lambda nodes: welfare_total(inst, nodes), candidates, picks, g=g)
         checked += 1
     assert checked > 30
+
+
+def _reference_visited_sets(inst, space):
+    """Walks grouped by ``frozenset`` of their nodes: the distinct sets as
+    padded sorted tuples, in sorted order, and each walk's set."""
+    width = space.n + 1
+    padded = {
+        frozenset(w.nodes): tuple(sorted(set(w.nodes)))
+        + (inst.node_count,) * (width - len(set(w.nodes)))
+        for w in space.candidates
+    }
+    # The sentinel node_count sorts last, so a set sorts after its extensions.
+    distinct = sorted(padded.values())
+    return distinct, [padded[frozenset(w.nodes)] for w in space.candidates]
+
+
+def test_visited_sets_match_a_frozenset_grouping():
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(60):
+        inst = random_instance(
+            rng, max_users=5, max_extra_nodes=3, with_weights=rng.random() < 0.5,
+            with_loops=True, max_radius=2,
+        )
+        for n in range(1, 5):
+            space = ps.enumerate_walks(inst, n)
+            roads, row_of = mobile_solver._visited_sets(space, inst.sensing.incidence)
+            distinct, walk_sets = _reference_visited_sets(inst, space)
+            assert roads.shape == (len(distinct), inst.sensing.edge_count)
+            assert roads.dtype == bool and roads.data.all()
+            for row, key in enumerate(distinct):
+                nodes = {v for v in key if v < inst.node_count}
+                roads_of_row = roads.indices[roads.indptr[row] : roads.indptr[row + 1]].tolist()
+                assert roads_of_row == sorted(ps.incident_edges(inst.sensing, nodes))
+            assert row_of.shape == (len(space),)
+            assert [distinct[r] for r in row_of.tolist()] == walk_sets
+            checked += any(len(set(w.nodes)) <= n for w in space.candidates)  # a revisit
+    assert checked > 100
+
+
+@pytest.mark.parametrize("nodes, n, digest", [
+    (40, 2, "b39e5811a5ad892dea13040cb3e30ae500e426cf32e2eef08f05c8617c215c91"),
+    (40, 3, "5a4095ee41c84e118ff19a29231eb5e52a7ea1548d913efa7ff605cb9de07ed5"),
+    (40, 4, "5fadd51a2164818e8d511dbcde7cf19b326b0218569ebf46eb61211f31deb7f9"),
+    (92, 2, "7d716deb2e3be0124b9fa07fe5f904bac5a02c8dd3d71072cc7520b9f6eebe41"),
+    (92, 3, "c07461485b29145b8f5a4c051f95f2ba8971d8029697eac0f8b7f9a36bfd43da"),
+    (92, 4, "f80872045aec0eb7f271be60108f0ad3c56df41c0e5d78432ced0ad7688000ac"),
+])
+def test_visited_sets_are_frozen(tmp_path, nodes, n, digest):
+    # The bytes that np.unique(axis=0) grouping gave on the seed-7 instances.
+    out = tmp_path / "instance.json"
+    assert main(["gen", "--mode", "gowalla-like", "--nodes", str(nodes), "--seed", "7",
+                 "--out", str(out)]) == 0
+    inst = ps.load_instance(out)
+    roads, row_of = mobile_solver._visited_sets(ps.enumerate_walks(inst, n), inst.sensing.incidence)
+    h = hashlib.sha256()
+    for array in (roads.indptr, roads.indices, row_of):
+        h.update(array.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_gps_agrees_across_routes_property():
+    """Every route gives the same walks and trace, and the welfare that
+    ``phi_walks`` gives the walk set through that route; so does
+    ``adjusted_gps`` where every node is a user."""
+    # Hypothesis runs inside a plain test, as in test_pipeline: a failing
+    # @given test collected by pytest would abort the whole pytest run.
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 2), prefs=st.booleans(),
+           weights=st.booleans(), n=st.integers(1, 3), k=st.integers(1, 4), full=st.booleans())
+    def agree(seed, extra, prefs, weights, n, k, full):
+        inst = random_instance(
+            random.Random(seed), max_users=5, max_extra_nodes=extra, with_prefs=prefs,
+            with_weights=weights, with_loops=True, max_radius=2,
+        )
+        space = ps.enumerate_walks(inst, n)
+        solvers = [lambda route: ps.gps(inst, n, k, k if full else 1, space=space, route=route)]
+        if inst.user_count == inst.node_count:
+            solvers.append(lambda route: ps.adjusted_gps(inst, n, k, space=space, route=route))
+        for solve in solvers:
+            try:
+                results = {route: solve(route) for route in ROUTES}
+            except ps.InfeasibleError:
+                continue
+            base = results["set"]
+            for route, result in results.items():
+                assert result.walks == base.walks
+                assert result.trace == base.trace
+                assert result.pruned_starts == base.pruned_starts
+                assert result.welfare == ps.phi_walks(inst, result.walks, route=route)
+
+    agree()
