@@ -24,14 +24,13 @@ from .model import Instance, Selection, validate
 from .pipeline import BoundingBox, GenSpec, ingest_instance, parse_checkins, synth_instance
 from .static_solver import (
     CoverageSearch,
-    greedy_max_coverage,
     greedy_user_trace,
     gus,
     phi_empty,
     static_bound,
     ub1,
 )
-from .mobile_solver import adjusted_gps, gps, mobile_bound, ub2
+from .mobile_solver import adjusted_gps, enumerate_walks, gps, mobile_bound, ub2
 from .welfare import ROUTES, CoverageState
 
 CSV_HEADER = "k,algorithm,welfare,upper_bound,ratio,bound,wall_time_ms,seed"
@@ -88,13 +87,15 @@ def _ratio(welfare: float, upper: float) -> float:
 
 
 def _parse_k_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        lo, hi = int(lo), int(hi)
-        if lo < 1 or hi < lo:
-            raise InputError(f"bad k range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    """The budgets of ``K`` or ``LO:HI``, each at least 1."""
+    lo, colon, hi = text.partition(":")
+    try:
+        lo, hi = int(lo), int(hi if colon else lo)
+    except ValueError:
+        raise InputError(f"bad k range {text!r}: expected K or LO:HI") from None
+    if lo < 1 or hi < lo:
+        raise InputError(f"bad k range {text!r}: need 1 <= LO <= HI")
+    return list(range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +127,15 @@ def run_sweep(
     Static algorithms exploit the greedy prefix property: one run at
     max(ks) yields every smaller budget's solution.  ``gus`` rows read the
     welfare after each pick straight from ``greedy_user_trace``, so its
-    selection is never re-evaluated; the coverage baseline's picks are
-    replayed through a ``CoverageState``.  ``seed`` does not
-    affect the deterministic solvers; it is recorded in every row for
-    provenance.  Upper bounds are computed once per k, from one base
-    welfare and one ``CoverageSearch`` set-up shared by every budget,
-    before any algorithm's timer starts, so ``wall_time_ms`` is the
-    algorithm's own time.
+    selection is never re-evaluated.  The coverage baseline's picks are
+    the greedy record of the ``CoverageSearch`` that ``ub1`` already ran,
+    replayed through a ``CoverageState``.  ``seed`` does not affect the
+    deterministic solvers; it is recorded in every row for provenance.
+    Upper bounds are computed once per k, from one base welfare and, for
+    ``ub1``, one ``CoverageSearch`` shared by every budget; the mobile
+    algorithms share one walk enumeration.  Both happen before any
+    algorithm's timer starts, so ``wall_time_ms`` is the algorithm's own
+    time.
     """
     m = instance.user_count
     k_max = max(ks)
@@ -151,6 +154,7 @@ def run_sweep(
     mobile_upper = {}
     if {"gps", "adjusted-gps"} & set(algorithms):
         mobile_upper = {k: ub2(instance, n, k, cap=cap, base=base_welfare) for k in ks}
+        space = enumerate_walks(instance, n)
 
     for algorithm in algorithms:
         t0 = time.monotonic()
@@ -160,7 +164,7 @@ def run_sweep(
             for k in ks:
                 per_k[k] = (welfares[k - 1], static_upper[k], static_bound(k, m))
         elif algorithm == "set-cover-baseline":
-            picks, _ = greedy_max_coverage(instance, k_max)
+            picks, _ = search.greedy(k_max)
             welfares = _static_prefix_welfares(instance, list(picks), k_max)
             for k in ks:
                 per_k[k] = (welfares[k - 1], static_upper[k], static_bound(k, m))
@@ -173,7 +177,7 @@ def run_sweep(
                 per_k[k] = (b, 1.0, b)
         elif algorithm == "gps":
             for k in ks:
-                result = gps(instance, n, k, g=min(g, k))
+                result = gps(instance, n, k, g=min(g, k), space=space)
                 per_k[k] = (
                     result.welfare.average,
                     mobile_upper[k],
@@ -181,7 +185,7 @@ def run_sweep(
                 )
         else:  # adjusted-gps
             for k in ks:
-                result = adjusted_gps(instance, n, k)
+                result = adjusted_gps(instance, n, k, space=space)
                 per_k[k] = (
                     result.welfare.average,
                     mobile_upper[k],
@@ -285,8 +289,10 @@ def _parse_bbox(text: str) -> BoundingBox:
     parts = text.split(":")
     if len(parts) != 4:
         raise InputError(f"bbox must be lat_min:lat_max:lon_min:lon_max, got {text!r}")
-    lat_min, lat_max, lon_min, lon_max = (float(p) for p in parts)
-    return BoundingBox(lat_min, lat_max, lon_min, lon_max)
+    try:
+        return BoundingBox(*(float(p) for p in parts))
+    except ValueError:
+        raise InputError(f"bbox bounds must be numbers, got {text!r}") from None
 
 
 def _cmd_ingest(args) -> int:

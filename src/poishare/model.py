@@ -49,11 +49,6 @@ class SensingGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def weight(self, edge_index: int) -> float:
-        if self.edge_weights is None:
-            return 1.0
-        return self.edge_weights[edge_index]
-
     @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Edge indices incident to each node (self-loops listed once)."""
@@ -73,7 +68,8 @@ class SensingGraph:
     @cached_property
     def weight_vector(self) -> np.ndarray:
         """Per-road weights as a read-only float64 array."""
-        out = np.array([self.weight(e) for e in range(self.edge_count)], dtype=np.float64)
+        weights = self.edge_weights
+        out = np.ones(self.edge_count) if weights is None else np.array(weights, dtype=np.float64)
         out.flags.writeable = False
         return out
 

@@ -115,27 +115,11 @@ def brute_force_static(
 # ---------------------------------------------------------------------------
 
 
-def _pool_rows(instance: Instance, pool):
-    """The pool (default: the user nodes) and its rows of the incidence."""
-    pool = list(range(instance.user_count)) if pool is None else list(pool)
-    return pool, instance.sensing.incidence[pool]
-
-
-def _greedy_prefixes(rows, weights):
-    """Each greedy max-coverage pick over ``rows`` (a row index) with the
-    weight that the picks so far cover, ``weights[covered].sum()``."""
-    covered = np.zeros(rows.shape[1], dtype=bool)
-    for pick, _ in greedy_cover(rows, weights):
-        covered[rows.indices[rows.indptr[pick] : rows.indptr[pick + 1]]] = True
-        yield pick, float(weights[covered].sum())
-
-
 def greedy_max_coverage(instance: Instance, k: int, pool=None) -> tuple[tuple[int, ...], float]:
     """Classic greedy max coverage over the incident-edge sets of ``pool``
-    (default: the user nodes).  Ties to the lowest pool position."""
-    pool, rows = _pool_rows(instance, pool)
-    steps = list(islice(_greedy_prefixes(rows, instance.sensing.weight_vector), max(k, 0)))
-    return tuple(pool[i] for i, _ in steps), steps[-1][1] if steps else 0.0
+    (default: the user nodes): the picks in pick order, ties to the lowest
+    pool position, and the weight they cover."""
+    return CoverageSearch(instance, pool).greedy(max(k, 0))
 
 
 class CoverageSearch:
@@ -145,14 +129,17 @@ class CoverageSearch:
     It holds the pool's incidence rows; the pool positions sorted by
     falling singleton coverage, ties to the lower node; the optimistic
     prefix sums of that order; each node's road bitmask, built on the
-    node's first visit; and the greedy cover, extended as larger budgets
-    ask for it.  Greedy picks are prefix-stable, so budget k's incumbent
-    is the same expression over the same picks as a greedy run at k.
-    Single owner; not shareable between threads.
+    node's first visit; and the pool's one ``greedy_cover`` run, recorded
+    round by round as larger budgets ask for it.  Greedy picks are
+    prefix-stable, so the record serves every budget: the branch and
+    bound's incumbent, the greedy-prefix bound of a capped search and
+    ``greedy_max_coverage`` all read it.  Single owner; not shareable
+    between threads.
     """
 
     def __init__(self, instance: Instance, pool=None):
-        self.pool, self.rows = _pool_rows(instance, pool)
+        self.pool = list(range(instance.user_count)) if pool is None else list(pool)
+        self.rows = instance.sensing.incidence[self.pool]
         self.weights = instance.sensing.weight_vector
         self.unit = bool((self.weights == 1.0).all())
         size = len(self.pool)
@@ -164,15 +151,24 @@ class CoverageSearch:
         self.indptr, self.indices = self.rows.indptr.tolist(), self.rows.indices.tolist()
         self.road_weights = self.weights.tolist()
         self.roads: list = [None] * size  # position -> (mask, ((bit, weight), ...))
-        self._greedy_steps = _greedy_prefixes(self.rows, self.weights)
-        self._greedy: list[tuple[int, float]] = []  # (pool index, covered weight) per pick
+        self._steps = greedy_cover(self.rows, self.weights)
+        self._covered = np.zeros(self.rows.shape[1], dtype=bool)
+        self._rounds: list[tuple[int, float, np.ndarray]] = []
+
+    def rounds(self, count: int) -> list[tuple[int, float, np.ndarray]]:
+        """The first ``count`` greedy rounds, fewer once the pool is used
+        up: each round's pick (a pool index), the weight that the picks so
+        far cover, ``weights[covered].sum()``, and the round's scores."""
+        for pick, scores in islice(self._steps, max(count - len(self._rounds), 0)):
+            self._covered[self.indices[self.indptr[pick] : self.indptr[pick + 1]]] = True
+            self._rounds.append((pick, float(self.weights[self._covered].sum()), scores))
+        return self._rounds[:count]
 
     def greedy(self, k: int) -> tuple[tuple[int, ...], float]:
-        """The sorted pool nodes of the first k greedy picks, and the weight
-        they cover."""
-        self._greedy.extend(islice(self._greedy_steps, max(k - len(self._greedy), 0)))
-        steps = self._greedy[:k]
-        return tuple(sorted(self.pool[i] for i, _ in steps)), steps[-1][1] if steps else 0.0
+        """The pool nodes of the first k greedy picks, in pick order, and
+        the weight they cover."""
+        steps = self.rounds(k)
+        return tuple(self.pool[i] for i, _, _ in steps), steps[-1][1] if steps else 0.0
 
 
 def exact_max_coverage(
@@ -219,6 +215,7 @@ def exact_max_coverage(
         return (), 0.0
 
     best_pick, best_value = search.greedy(k)
+    best_pick = tuple(sorted(best_pick))
     chosen = [0] * k  # chosen[:depth]: the pool indices taken on the path
     stack = [(0, 0, 0, 0.0)]  # (position, picks taken, covered bitset, value)
     visited = 0
@@ -260,18 +257,18 @@ def exact_max_coverage(
 def _greedy_prefix_coverage_bound(search: CoverageSearch, k: int) -> float:
     """Submodularity bound on optimal k-coverage: along the greedy prefix
     S_0, S_1, ..., the optimum is at most cov(S_t) plus the k largest
-    single-node marginals at S_t; take the best t."""
-    rounds = greedy_cover(search.rows, search.weights)
+    single-node marginals at S_t; take the best t, reading S_t and its
+    marginals from ``search``'s greedy record."""
+    count = min(k, len(search.pool)) + 1
+    rounds = search.rounds(count)
     best_bound = float("inf")
     value = 0.0
-    for _ in range(min(k, len(search.pool)) + 1):
-        step = next(rounds, None)
-        if step is None:  # every node taken
-            return min(best_bound, value)
-        pick, scores = step
+    for pick, _, scores in rounds:
         marginals = np.sort(scores[scores >= 0.0])[::-1]
         best_bound = min(best_bound, value + sum(marginals[:k].tolist()))
         value += float(scores[pick])
+    if len(rounds) < count:  # every node taken
+        return min(best_bound, value)
     return best_bound
 
 

@@ -306,6 +306,69 @@ def test_sweep_gus_welfares_equal_a_replay_of_the_gus_trace():
         assert [row.welfare for row in report.sorted_rows()] == replayed
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--k-range", "1:12", "--cap", "20000"),
+    ("solve-static", "-k", "12", "--cap", "20000"),
+])
+def test_each_request_runs_one_greedy_cover_per_pool(tmp_path, monkeypatch, capsys, argv):
+    # the incumbents, the relaxed bound of the capped budget 12 and the
+    # coverage baseline all read one recorded greedy run over the users
+    path = tmp_path / "golden.json"
+    ps.save_instance(golden_instance(), path)
+    real_cover = ps.static_solver.greedy_cover
+    real_search = ps.static_solver.exact_max_coverage
+    runs, capped = [], []
+
+    def counted_cover(rows, weights):
+        runs.append(rows.shape)
+        return real_cover(rows, weights)
+
+    def recording_search(*args, **kwargs):
+        try:
+            return real_search(*args, **kwargs)
+        except ps.InfeasibleError:
+            capped.append(args[1])
+            raise
+
+    monkeypatch.setattr(ps.static_solver, "greedy_cover", counted_cover)
+    monkeypatch.setattr(ps.static_solver, "exact_max_coverage", recording_search)
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    assert capsys.readouterr().out
+    assert len(runs) == 1
+    assert capped == [12]
+
+
+def test_mobile_sweep_rows_equal_separate_calls_over_one_walk_enumeration(monkeypatch):
+    inst = golden_instance()
+    n, g, cap, ks = 2, 2, 20_000, list(range(1, 7))
+    real_enumerate = ps.mobile_solver.enumerate_walks
+    calls = []
+
+    def counted(instance, length):
+        calls.append(length)
+        return real_enumerate(instance, length)
+
+    for module in (ps, ps.mobile_solver, ps.cli):
+        if hasattr(module, "enumerate_walks"):
+            monkeypatch.setattr(module, "enumerate_walks", counted)
+    report = run_sweep(inst, ks, ["gps", "adjusted-gps"], 0, n=n, g=g, cap=cap)
+    assert calls == [n]
+    monkeypatch.undo()
+    rows = {(r.algorithm, r.k): r for r in report.rows}
+    assert len(rows) == 2 * len(ks)
+    m = inst.node_count
+    for k in ks:
+        upper = ps.ub2(inst, n, k, cap=cap)
+        for algorithm, result, bound in (
+            ("gps", ps.gps(inst, n, k, min(g, k)), ps.mobile_bound(k, m, min(g, k))),
+            ("adjusted-gps", ps.adjusted_gps(inst, n, k), ps.mobile_bound(k, m, k)),
+        ):
+            row = rows[(algorithm, k)]
+            welfare = result.welfare.average
+            assert (row.welfare, row.upper_bound, row.bound) == (welfare, upper, bound)
+            assert row.ratio == welfare / upper
+
+
 def test_solve_static_builds_each_social_reach_once(tmp_path, monkeypatch, capsys):
     # the greedy state, ub1's base welfare and both evaluation routes share
     # one reach set per user
@@ -372,3 +435,21 @@ def test_gen_and_ingest_refuse_bad_or_oversized_inputs_up_front(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and message in err and "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("k_range", ["a:b", "5:x", "x", "5:", "0", "-3", "0:3", "4:2"])
+def test_sweep_refuses_a_bad_k_range_as_an_input_error(tiny_instance_path, capsys, k_range):
+    argv = ["sweep", tiny_instance_path, f"--k-range={k_range}",
+            "--algorithms", "no-broadcast,bound"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: bad k range") and "Traceback" not in err
+
+
+def test_ingest_refuses_a_non_numeric_bbox_as_an_input_error(tmp_path, capsys):
+    checkins = _spread_checkins(tmp_path / "checkins.tsv", 100)
+    out = tmp_path / "out.json"
+    assert main(["ingest", checkins, "--bbox", "a:b:c:d", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: bbox bounds must be numbers") and "Traceback" not in err
+    assert not out.exists()

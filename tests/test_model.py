@@ -54,6 +54,17 @@ def test_validate_catches_duplicates_loops_and_ranges():
     assert "duplicate social edge" in text
 
 
+def test_weight_vector_is_a_read_only_float64_copy_of_the_weights():
+    edges = ((0, 1), (1, 2), (2, 2))
+    for weights, want in ((None, [1.0, 1.0, 1.0]), ((2, 0.5, 3), [2.0, 0.5, 3.0])):
+        g1 = ps.SensingGraph(node_count=3, user_count=3, edges=edges, edge_weights=weights)
+        vector = g1.weight_vector
+        assert vector.dtype == "float64" and not vector.flags.writeable
+        assert vector.tolist() == want
+    bare = ps.SensingGraph(node_count=1, user_count=1, edges=())
+    assert bare.weight_vector.shape == (0,) and bare.weight_vector.dtype == "float64"
+
+
 def test_incident_edges_examples():
     g = path3().sensing
     assert ps.incident_edges(g, {1}) == {0, 1}

@@ -3,6 +3,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -276,6 +277,46 @@ def test_ub1_from_a_shared_search_equals_separate_calls(monkeypatch):
         capped_budgets += len(raised)
         raised.clear()
     assert 0 < capped_budgets < sum(len(budgets) for _, _, budgets in cases)
+
+
+def _fresh_prefix_bound(rows, weights, k):
+    """The greedy-prefix coverage bound from a greedy_cover run of its own."""
+    rounds = ps.welfare.greedy_cover(rows, weights)
+    best, value = float("inf"), 0.0
+    for _ in range(min(k, rows.shape[0]) + 1):
+        step = next(rounds, None)
+        if step is None:
+            return min(best, value)
+        pick, scores = step
+        marginals = np.sort(scores[scores >= 0.0])[::-1]
+        best = min(best, value + sum(marginals[:k].tolist()))
+        value += float(scores[pick])
+    return best
+
+
+def test_relaxed_bound_from_a_recorded_greedy_keeps_its_bits():
+    """A capped coverage_upper_bound reads the greedy rounds that its
+    CoverageSearch recorded, already extended to the whole pool, and
+    returns the bits of a prefix bound over a fresh greedy_cover run, over
+    the users and over all nodes, weighted or not."""
+    rng = random.Random(144)
+    capped = 0
+    for inst in mixed_instances(144, 40):
+        weights = inst.sensing.weight_vector
+        total = float(weights.sum())
+        for pool in (list(range(inst.user_count)), list(range(inst.node_count))):
+            search = CoverageSearch(inst, pool)
+            assert len(search.rounds(len(pool) + 1)) == len(pool)
+            rows = inst.sensing.incidence[pool]
+            for k in rng.sample(range(1, len(pool) + 2), len(pool) + 1):
+                got = coverage_upper_bound(inst, k, pool, cap=1, search=search)
+                exact = _search_outcome(exact_max_coverage, inst, k, pool, 1)
+                if exact == "capped":
+                    capped += 1
+                    assert got == min(total, _fresh_prefix_bound(rows, weights, k)), k
+                else:
+                    assert got == exact[1], k
+    assert capped > 500
 
 
 def test_coverage_upper_bound_dominates_exact():

@@ -151,13 +151,13 @@ def naive_phi(instance: ps.Instance, broadcast_nodes) -> float:
                 edge_ids.add(e)
         if instance.preferences is not None:
             edge_ids &= instance.preferences.per_user_edges[i]
-        total += sum(g1.weight(e) for e in edge_ids)
+        total += sum(_road_weight(instance, e) for e in edge_ids)
     return total / instance.user_count
 
 
 def reference_broadcast_breakdown(instance: ps.Instance, broadcast_nodes) -> ps.WelfareBreakdown:
     """``broadcast_breakdown`` as first written, as its oracle: one
-    ``weight(e)`` call per road per user, summed in the iteration order of
+    road weight per road per user, summed in the iteration order of
     the same access sets."""
     g1 = instance.sensing
     prefs = instance.preferences
@@ -167,10 +167,10 @@ def reference_broadcast_breakdown(instance: ps.Instance, broadcast_nodes) -> ps.
         base = {i} | ps.social_neighborhood(instance, i)
         edge_ids = ps.incident_edges(g1, base | extra)
         if prefs is None:
-            per_user.append(float(sum(g1.weight(e) for e in edge_ids)))
+            per_user.append(float(sum(_road_weight(instance, e) for e in edge_ids)))
         else:
             interest = prefs.per_user_edges[i]
-            per_user.append(float(sum(g1.weight(e) for e in edge_ids if e in interest)))
+            per_user.append(float(sum(_road_weight(instance, e) for e in edge_ids if e in interest)))
     return ps.WelfareBreakdown.from_per_user(per_user)
 
 
