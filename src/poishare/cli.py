@@ -98,6 +98,13 @@ def _parse_k_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _search_cap(args) -> int:
+    """``--cap``, refused when negative."""
+    if args.cap < 0:
+        raise InputError(f"--cap must be >= 0, got {args.cap}")
+    return args.cap
+
+
 # ---------------------------------------------------------------------------
 # Sweep machinery
 # ---------------------------------------------------------------------------
@@ -131,19 +138,23 @@ def run_sweep(
     the greedy record of the ``CoverageSearch`` that ``ub1`` already ran,
     replayed through a ``CoverageState``.  ``seed`` does not affect the
     deterministic solvers; it is recorded in every row for provenance.
-    Upper bounds are computed once per k, from one base welfare and, for
-    ``ub1``, one ``CoverageSearch`` shared by every budget; the mobile
-    algorithms share one walk enumeration.  Both happen before any
-    algorithm's timer starts, so ``wall_time_ms`` is the algorithm's own
-    time.
+    Upper bounds are computed once per k, from one base welfare and one
+    ``CoverageSearch`` per bound shared by every budget: over the users
+    for ``ub1``, over every node for ``ub2``.  The mobile algorithms share
+    one walk enumeration.  Both happen before any algorithm's timer
+    starts, so ``wall_time_ms`` is the algorithm's own time.
     """
     m = instance.user_count
     k_max = max(ks)
     rows: list[ReportRow] = []
 
+    if not algorithms:
+        raise InputError("no sweep algorithm given")
     for algorithm in algorithms:
         if algorithm not in STATIC_ALGORITHMS + MOBILE_ALGORITHMS:
             raise InputError(f"unknown sweep algorithm {algorithm!r}")
+        if list(algorithms).count(algorithm) > 1:
+            raise InputError(f"sweep algorithm {algorithm!r} named more than once")
         if algorithm in ("gus", "set-cover-baseline") and k_max > m:
             raise InputError(f"k range reaches {k_max} but instance has {m} users")
     base_welfare = phi_empty(instance).average
@@ -153,7 +164,9 @@ def run_sweep(
         static_upper = {k: ub1(instance, k, cap=cap, base=base_welfare, search=search) for k in ks}
     mobile_upper = {}
     if {"gps", "adjusted-gps"} & set(algorithms):
-        mobile_upper = {k: ub2(instance, n, k, cap=cap, base=base_welfare) for k in ks}
+        node_search = CoverageSearch(instance, range(instance.node_count))
+        mobile_upper = {k: ub2(instance, n, k, cap=cap, base=base_welfare, search=node_search)
+                        for k in ks}
         space = enumerate_walks(instance, n)
 
     for algorithm in algorithms:
@@ -222,11 +235,12 @@ def _print_result(args, algorithm: str, welfare: float, upper: float, bound: flo
 
 
 def _cmd_solve_static(args) -> int:
+    cap = _search_cap(args)
     instance = instance_io.load_instance(args.instance)
     t0 = time.monotonic()
     result = gus(instance, args.k, route=args.route)
     elapsed_ms = (time.monotonic() - t0) * 1000.0
-    upper = ub1(instance, args.k, cap=args.cap)
+    upper = ub1(instance, args.k, cap=cap)
     bound = static_bound(args.k, instance.user_count)
     users = list(result.selection.users)
     summary = [f"selection: {' '.join(map(str, users))}"]
@@ -238,6 +252,7 @@ def _cmd_solve_static(args) -> int:
 
 
 def _cmd_solve_mobile(args) -> int:
+    cap = _search_cap(args)
     instance = instance_io.load_instance(args.instance)
     t0 = time.monotonic()
     if args.adjusted:
@@ -249,7 +264,7 @@ def _cmd_solve_mobile(args) -> int:
         algorithm = "gps"
         bound = mobile_bound(args.k, instance.node_count, args.g)
     elapsed_ms = (time.monotonic() - t0) * 1000.0
-    upper = ub2(instance, args.n, args.k, cap=args.cap)
+    upper = ub2(instance, args.n, args.k, cap=cap)
     walks = [list(w.nodes) for w in result.walks.walks]
     summary = [f"walk: {' '.join(map(str, w))}" for w in walks]
     return _print_result(args, algorithm, result.welfare.average, upper, bound, elapsed_ms, summary, {
@@ -259,10 +274,11 @@ def _cmd_solve_mobile(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    instance = instance_io.load_instance(args.instance)
+    cap = _search_cap(args)
     ks = _parse_k_range(args.k_range)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    report = run_sweep(instance, ks, algorithms, args.seed, n=args.n, g=args.g, cap=args.cap)
+    instance = instance_io.load_instance(args.instance)
+    report = run_sweep(instance, ks, algorithms, args.seed, n=args.n, g=args.g, cap=cap)
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return 0
 

@@ -15,11 +15,16 @@ from itertools import combinations, islice
 from math import comb
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InfeasibleError, InputError
 from .model import Instance, Selection, SensingGraph, Walk, WalkSet, zero_one_matrix
-from .static_solver import DEFAULT_ENUMERATION_CAP, coverage_upper_bound, phi_empty, static_bound
+from .static_solver import (
+    DEFAULT_ENUMERATION_CAP,
+    CoverageSearch,
+    coverage_upper_bound,
+    phi_empty,
+    static_bound,
+)
 from .welfare import (
     CoverageState,
     WelfareBreakdown,
@@ -116,6 +121,8 @@ def _visited_sets(space: WalkSpace, incidence):
     The set x node matrix is assembled straight from the distinct keys, with
     the arrays and dtypes ``zero_one_matrix`` would build for them.
     """
+    from scipy import sparse
+
     node_count = incidence.shape[0]
     keys = np.sort(space.nodes, axis=1)
     tail = keys[:, 1:]
@@ -400,7 +407,13 @@ def brute_force_mobile(
 
 
 def ub2(
-    instance: Instance, n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP, base: float | None = None
+    instance: Instance,
+    n: int,
+    k: int,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    base: float | None = None,
+    *,
+    search: CoverageSearch | None = None,
 ) -> float:
     """Upper bound on the mobile optimum: base welfare plus the best
     coverage reachable by k*(n+1) sensing nodes (any nodes, not just
@@ -410,7 +423,8 @@ def ub2(
     dominates every feasible solution; a budget of n*k nodes does not,
     and small instances exist where it undercuts the true optimum.
     ``base`` is ``phi_empty(instance).average``, computed here when not
-    given; a caller bounding many budgets passes it once.
+    given; ``search`` is a ``CoverageSearch`` over every node, built here
+    when not given.  A caller bounding many budgets passes both once.
     """
     if n < 1:
         raise InputError(f"walk length n must be >= 1, got {n}")
@@ -419,8 +433,9 @@ def ub2(
     if k <= 0:
         return base
     budget = min(k * (n + 1), instance.node_count)
-    pool = list(range(instance.node_count))
-    return base + coverage_upper_bound(instance, budget, pool=pool, cap=cap)
+    if search is None:
+        search = CoverageSearch(instance, range(instance.node_count))
+    return base + coverage_upper_bound(instance, budget, cap=cap, search=search)
 
 
 def mobile_bound(k: int, varpi: int, g: int) -> float:

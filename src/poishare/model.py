@@ -12,6 +12,11 @@ Conventions used throughout the package:
   A self-loop ``(v, v)`` is a legal road that touches only v.
 - All model types are immutable after construction; derived adjacency
   tables are cached and safe to share between concurrent readers.
+- Only numpy is imported at module level: ``import poishare``, ``gen`` and
+  ``validate`` load no scipy module.  ``scipy.sparse`` is imported inside
+  the functions that build a sparse matrix (``zero_one_matrix`` here), on
+  the first such build; ``scipy.cluster`` only by ``ingest`` (see
+  ``pipeline``).
 """
 
 from __future__ import annotations
@@ -19,9 +24,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:  # annotations only: see the module docstring
+    from scipy import sparse
 
 from .errors import InputError
 
@@ -217,6 +225,8 @@ def zero_one_matrix(rows, width: int) -> sparse.csr_matrix:
     """Boolean CSR matrix, true at (i, c) for each column c listed in
     ``rows[i]`` and stored in the listed order; the lists must not repeat
     a column.  Products of such matrices stay boolean (set unions)."""
+    from scipy import sparse
+
     indptr = np.concatenate(([0], np.cumsum([len(row) for row in rows], dtype=np.int64)))
     indices = np.fromiter((c for row in rows for c in row), dtype=np.int32, count=int(indptr[-1]))
     return sparse.csr_matrix(

@@ -20,9 +20,14 @@ pair once, into the condensed vector, and ``linkage`` copies that vector.
 ``cluster_locations`` refuses check-in counts whose two copies would
 exceed ``MAX_CLUSTER_BYTES`` (about 11,500 check-ins), and ``gen``
 refuses sizes above ``MAX_GEN_NODES`` and ``MAX_GEN_ROADS``, before
-anything of that size is allocated.  scipy's ``linkage`` is imported
-only when a clustering runs, so no other command loads ``scipy.cluster``
-or ``scipy.spatial``.
+anything of that size is allocated.
+
+Imports: the package itself needs only numpy, so ``import poishare``,
+``gen`` and ``validate`` load no scipy module.  ``scipy.sparse`` is
+imported by the functions that build a sparse matrix, on the first such
+build of a process (the first solve).  scipy's ``linkage`` is imported
+only when a clustering runs, so no command but ``ingest`` loads
+``scipy.cluster`` or ``scipy.spatial``.
 """
 
 from __future__ import annotations

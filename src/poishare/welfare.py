@@ -37,9 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:  # annotations only: scipy.sparse is imported where a matrix is built
+    from scipy import sparse
 
 from .errors import CrosscheckError, InputError
 from .model import (
@@ -125,6 +128,8 @@ def sensing_matrix(
     sum attributes to it, which keeps both the column-sum identity and the
     double-count correction exact.
     """
+    from scipy import sparse
+
     g1 = instance.sensing
     ends = np.array(g1.edges, dtype=np.intp).reshape(-1, 2)
     weights = g1.weight_vector
@@ -150,6 +155,8 @@ def social_matrix(instance: Instance, broadcast_rows=()) -> sparse.csr_array:
     reaches every user); its column is untouched, since a broadcaster gains
     nothing from its own broadcast, so symmetry is gone.
     """
+    from scipy import sparse
+
     m = instance.user_count
     rows = [sorted(reach) for reach in instance.social_reach]
     rows += [()] * (instance.node_count - m)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -453,3 +454,57 @@ def test_ingest_refuses_a_non_numeric_bbox_as_an_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: bbox bounds must be numbers") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cap, digest", [
+    # the budgets of 12 to 30 nodes capped
+    ("20000", "bc7dfb0136495934efb949d6a2d54dddac5be9f119b9cf85faa8498701b73def"),
+    # every budget relaxed
+    ("0", "3968105f7b7ab820296a4984420c4a5e9969b6aeeafa7cb5476b3fe1265e4463"),
+])
+def test_mobile_sweep_bounds_share_one_node_search(tmp_path, monkeypatch, capsys, cap, digest):
+    # every budget's ub2 reads one CoverageSearch over all 40 nodes, and the
+    # CSV, without wall_time_ms, is the one a search per budget wrote
+    path = tmp_path / "golden.json"
+    ps.save_instance(golden_instance(), path)
+    real_init = ps.static_solver.CoverageSearch.__init__
+    pools = []
+
+    def counted_init(self, instance, pool=None):
+        real_init(self, instance, pool)
+        pools.append(len(self.pool))
+
+    monkeypatch.setattr(ps.static_solver.CoverageSearch, "__init__", counted_init)
+    assert main(["sweep", str(path), "--k-range", "1:10", "--algorithms", "gps,adjusted-gps",
+                 "-n", "2", "-g", "2", "--cap", cap]) == 0
+    out = capsys.readouterr().out
+    assert pools == [40]
+    assert hashlib.sha256(_strip_wall_time(out).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "--k-range", "1:2", "--algorithms", ",,"), "no sweep algorithm given"),
+    (("sweep", "--k-range", "1:2", "--algorithms", "gus,gus"), "'gus' named more than once"),
+    (("sweep", "--k-range", "1:2", "--algorithms", "bound, gps ,gps"),
+     "'gps' named more than once"),
+    (("sweep", "--k-range", "1:2", "--cap", "-1"), "--cap must be >= 0, got -1"),
+    (("solve-static", "-k", "1", "--cap", "-1"), "--cap must be >= 0, got -1"),
+    (("solve-mobile", "-n", "1", "-k", "1", "--cap", "-1"), "--cap must be >= 0, got -1"),
+])
+def test_empty_or_repeated_algorithms_and_negative_caps_are_input_errors(
+    tiny_instance_path, capsys, argv, message
+):
+    assert main([argv[0], tiny_instance_path, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--k-range", "1:2", "--cap", "0"),
+    ("solve-static", "-k", "1", "--cap", "0"),
+    ("solve-mobile", "-n", "1", "-k", "1", "--cap", "0"),
+])
+def test_a_zero_cap_is_accepted(tiny_instance_path, capsys, argv):
+    assert main([argv[0], tiny_instance_path, *argv[1:]]) == 0
+    assert capsys.readouterr().out.startswith(CSV_HEADER)

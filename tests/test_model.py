@@ -6,10 +6,11 @@ import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import poishare as ps
 from poishare.cli import main
-from util import random_instance
+from util import instances, random_instance
 
 
 def path3(social_edges=(), **kw):
@@ -170,6 +171,22 @@ def test_instance_json_round_trip():
         assert back == inst
         assert ps.dumps_instance(back) == ps.dumps_instance(inst)
 
+
+
+def test_instance_json_round_trip_property():
+    # any positive finite weight, subnormal or huge, keeps its bits through
+    # a JSON document, so a second serialization repeats the first byte for byte
+    weights = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(instance=instances(weights=weights))
+    def round_trips(instance):
+        text = ps.dumps_instance(instance)
+        back = ps.loads_instance(text)
+        assert back == instance
+        assert ps.dumps_instance(back) == text
+
+    round_trips()
 
 def test_load_instance_rejects_garbage(tmp_path):
     p = tmp_path / "bad.json"

@@ -341,12 +341,45 @@ assert main(["gen", "--mode", "gowalla-like", "--nodes", "20", "--seed", "3", "-
 assert main(["solve-static", path, "-k", "3"]) == 0
 print(json.dumps([after_import, loaded()]))
 """
+    assert _fresh_interpreter(script) == [[], []]
+
+
+def test_only_a_sparse_build_imports_scipy(tmp_path):
+    # numpy alone serves import, gen and validate; the first sparse matrix
+    # loads scipy.sparse, and still neither scipy.cluster nor scipy.spatial
+    script = f"""
+import json, sys
+import poishare
+from poishare.cli import main
+
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  and (not prefixes or m.startswith(prefixes)))
+
+stages = {{"import": loaded()}}
+path = {str(tmp_path / "inst.json")!r}
+assert main(["gen", "--mode", "gowalla-like", "--nodes", "20", "--seed", "3", "--out", path]) == 0
+stages["gen"] = loaded()
+assert main(["validate", path]) == 0
+stages["validate"] = loaded()
+assert main(["solve-static", path, "-k", "3"]) == 0
+stages["solve-static"] = [bool(loaded("scipy.sparse")), loaded("scipy.cluster", "scipy.spatial")]
+print(json.dumps(stages))
+"""
+    assert _fresh_interpreter(script) == {
+        "import": [], "gen": [], "validate": [], "solve-static": [True, []],
+    }
+
+
+def _fresh_interpreter(script: str):
+    """The JSON that ``script`` prints last, run in a new interpreter on
+    this checkout's sources."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [[], []]
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def _bits(values) -> np.ndarray:

@@ -13,6 +13,7 @@ from poishare.welfare import phi_walks_matrix, phi_walks_set
 from util import (
     exact_total,
     golden_instance,
+    instances,
     mixed_instances,
     naive_phi,
     random_instance,
@@ -380,25 +381,8 @@ def test_single_node_prices_are_greedy_cover_scores():
 def _coverage_cases(draw):
     """An instance with optional weights, self-loops, preferences and
     non-user nodes, and a run of price and add calls on it."""
-    m = draw(st.integers(1, 6))
-    nn = m + draw(st.integers(0, 3))
-    pairs = [(u, v) for u in range(nn) for v in range(u, nn)]
-    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)))
-    weights = None
-    if edges and draw(st.booleans()):
-        weights = tuple(draw(st.lists(st.floats(0.1, 5.0), min_size=len(edges),
-                                      max_size=len(edges))))
-    sensing = ps.SensingGraph(node_count=nn, user_count=m, edges=edges, edge_weights=weights)
-    friends = list(combinations(range(m), 2))
-    social = ps.SocialGraph(user_count=m, edges=tuple(
-        draw(st.lists(st.sampled_from(friends), unique=True)) if friends else ()))
-    prefs = None
-    if edges and draw(st.booleans()):
-        extra = st.sets(st.integers(0, len(edges) - 1))
-        prefs = ps.PreferenceProfile(tuple(
-            frozenset(sensing.incident[i]) | draw(extra) for i in range(m)))
-    instance = ps.Instance(sensing=sensing, social=social, preferences=prefs,
-                           social_hop_radius=draw(st.integers(1, 2)))
+    instance = draw(instances())
+    nn = instance.node_count
     nodes = st.lists(st.integers(0, nn - 1), min_size=1, max_size=3).map(tuple)
     calls = draw(st.lists(st.tuples(st.sampled_from(("price", "add")), nodes), max_size=12))
     return instance, calls
@@ -431,6 +415,26 @@ def test_cached_prices_equal_a_fresh_state_property():
 
     matches()
 
+
+
+@st.composite
+def _static_selections(draw):
+    instance = draw(instances())
+    users = draw(st.lists(st.integers(0, instance.user_count - 1), unique=True))
+    return instance, ps.Selection(tuple(users))
+
+
+def test_routes_agree_on_static_selections_property():
+    # route="both" raises CrosscheckError when the matrix route and the set
+    # route disagree: exactly under unit weights, past 1e-9 otherwise
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(case=_static_selections())
+    def agrees(case):
+        instance, selection = case
+        both = ps.evaluate_selection(instance, selection, route="both")
+        assert both == ps.evaluate_selection(instance, selection, route="set")
+
+    agrees()
 
 def test_broadcast_breakdown_equals_the_per_road_reference():
     rng = random.Random(133)

@@ -11,6 +11,7 @@ from collections import Counter
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
 import poishare as ps
 
@@ -172,6 +173,32 @@ def reference_broadcast_breakdown(instance: ps.Instance, broadcast_nodes) -> ps.
             interest = prefs.per_user_edges[i]
             per_user.append(float(sum(_road_weight(instance, e) for e in edge_ids if e in interest)))
     return ps.WelfareBreakdown.from_per_user(per_user)
+
+
+@st.composite
+def instances(draw, weights=st.floats(0.1, 5.0)):
+    """A hypothesis instance of up to 6 users and 3 non-user nodes, with
+    up to 12 roads in drawn order (self-loops included), optional road
+    weights drawn from ``weights``, optional interest profiles and a hop
+    radius of 1 or 2."""
+    m = draw(st.integers(1, 6))
+    nn = m + draw(st.integers(0, 3))
+    pairs = [(u, v) for u in range(nn) for v in range(u, nn)]
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)))
+    edge_weights = None
+    if edges and draw(st.booleans()):
+        edge_weights = tuple(draw(st.lists(weights, min_size=len(edges), max_size=len(edges))))
+    sensing = ps.SensingGraph(node_count=nn, user_count=m, edges=edges, edge_weights=edge_weights)
+    friends = list(combinations(range(m), 2))
+    social = ps.SocialGraph(user_count=m, edges=tuple(
+        draw(st.lists(st.sampled_from(friends), unique=True)) if friends else ()))
+    prefs = None
+    if edges and draw(st.booleans()):
+        extra = st.sets(st.integers(0, len(edges) - 1))
+        prefs = ps.PreferenceProfile(tuple(
+            frozenset(sensing.incident[i]) | draw(extra) for i in range(m)))
+    return ps.Instance(sensing=sensing, social=social, preferences=prefs,
+                       social_hop_radius=draw(st.integers(1, 2)))
 
 
 def golden_instance() -> ps.Instance:
