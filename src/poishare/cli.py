@@ -140,7 +140,8 @@ def run_sweep(
     deterministic solvers; it is recorded in every row for provenance.
     Upper bounds are computed once per k, from one base welfare and one
     ``CoverageSearch`` per bound shared by every budget: over the users
-    for ``ub1``, over every node for ``ub2``.  The mobile algorithms share
+    for ``ub1``, over every node for ``ub2``.  Once a budget's search
+    caps, the later budgets read the search's one coverage table.  The mobile algorithms share
     one walk enumeration.  Both happen before any algorithm's timer
     starts, so ``wall_time_ms`` is the algorithm's own time.
     """
@@ -364,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=_SEARCH_CAP,
             help="search-node limit of the exact max-coverage search behind ub1/ub2; "
-            "past it the bound reported is a relaxed but still valid one",
+            "past it the bound is read from a table built by bucket elimination, "
+            "exact unless the graph is too wide for it, and then relaxed but still valid",
         )
 
     p = sub.add_parser("solve-static", help="greedy user selection")

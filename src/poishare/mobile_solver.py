@@ -24,6 +24,7 @@ from .static_solver import (
     coverage_upper_bound,
     phi_empty,
     static_bound,
+    welfare_ceiling,
 )
 from .welfare import (
     CoverageState,
@@ -417,14 +418,17 @@ def ub2(
 ) -> float:
     """Upper bound on the mobile optimum: base welfare plus the best
     coverage reachable by k*(n+1) sensing nodes (any nodes, not just
-    users).
+    users), capped at ``welfare_ceiling``.
 
     k walks of n edges visit at most k*(n+1) distinct nodes, so this
     dominates every feasible solution; a budget of n*k nodes does not,
-    and small instances exist where it undercuts the true optimum.
-    ``base`` is ``phi_empty(instance).average``, computed here when not
-    given; ``search`` is a ``CoverageSearch`` over every node, built here
-    when not given.  A caller bounding many budgets passes both once.
+    and small instances exist where it undercuts the true optimum.  The
+    coverage is ``coverage_upper_bound``'s: exact unless the node pool is
+    too wide for its table.  ``base`` is ``phi_empty(instance).average``,
+    computed here when not given; ``search`` is a ``CoverageSearch`` over
+    every node, built here when not given.  A caller bounding many
+    budgets passes both once, so a search that caps builds one table for
+    every budget.
     """
     if n < 1:
         raise InputError(f"walk length n must be >= 1, got {n}")
@@ -435,7 +439,8 @@ def ub2(
     budget = min(k * (n + 1), instance.node_count)
     if search is None:
         search = CoverageSearch(instance, range(instance.node_count))
-    return base + coverage_upper_bound(instance, budget, cap=cap, search=search)
+    coverage = coverage_upper_bound(instance, budget, cap=cap, search=search)
+    return min(welfare_ceiling(instance), base + coverage)
 
 
 def mobile_bound(k: int, varpi: int, g: int) -> float:

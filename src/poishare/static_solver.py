@@ -5,6 +5,8 @@ closed-form greedy guarantee.
 
 from __future__ import annotations
 
+import heapq
+import logging
 from dataclasses import dataclass
 from itertools import accumulate, combinations, islice
 from math import comb
@@ -23,6 +25,12 @@ from .welfare import (
 )
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
+#: Largest table ``max_vertex_coverage`` builds, in cells: the 2^(width+1)
+#: assignments of a node and its neighbours times the count axis.  2^20
+#: float64 cells are 8 MB.
+DP_MAX_CELLS = 1 << 20
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -123,8 +131,8 @@ def greedy_max_coverage(instance: Instance, k: int, pool=None) -> tuple[tuple[in
 
 
 class CoverageSearch:
-    """The set-up of ``exact_max_coverage``'s search over one pool, which
-    no budget changes: built once, it serves any number of budgets.
+    """Everything about max coverage over one pool that no budget changes:
+    built once, it serves any number of budgets.
 
     It holds the pool's incidence rows; the pool positions sorted by
     falling singleton coverage, ties to the lower node; the optimistic
@@ -133,11 +141,19 @@ class CoverageSearch:
     round by round as larger budgets ask for it.  Greedy picks are
     prefix-stable, so the record serves every budget: the branch and
     bound's incumbent, the greedy-prefix bound of a capped search and
-    ``greedy_max_coverage`` all read it.  Single owner; not shareable
-    between threads.
+    ``greedy_max_coverage`` all read it.
+
+    ``build_table()`` runs ``max_vertex_coverage`` over the pool once, the
+    first time ``coverage_upper_bound``'s search caps, into ``table``, the
+    best coverage of every budget; ``coverage_upper_bound`` reads every
+    later budget from it.  ``sources`` records, per budget bounded, where the
+    bound came from (see ``coverage_upper_bound``), and ``visited`` the
+    search nodes of the last search that finished.  Single owner; not
+    shareable between threads.
     """
 
     def __init__(self, instance: Instance, pool=None):
+        self.instance = instance
         self.pool = list(range(instance.user_count)) if pool is None else list(pool)
         self.rows = instance.sensing.incidence[self.pool]
         self.weights = instance.sensing.weight_vector
@@ -154,6 +170,10 @@ class CoverageSearch:
         self._steps = greedy_cover(self.rows, self.weights)
         self._covered = np.zeros(self.rows.shape[1], dtype=bool)
         self._rounds: list[tuple[int, float, np.ndarray]] = []
+        self.visited = 0
+        self.sources: dict[int, tuple[str, int]] = {}
+        self.table: tuple[list[float], int] | None = None
+        self._refused = False  # max_vertex_coverage refused the pool
 
     def rounds(self, count: int) -> list[tuple[int, float, np.ndarray]]:
         """The first ``count`` greedy rounds, fewer once the pool is used
@@ -169,6 +189,28 @@ class CoverageSearch:
         the weight they cover."""
         steps = self.rounds(k)
         return tuple(self.pool[i] for i, _, _ in steps), steps[-1][1] if steps else 0.0
+
+    def build_table(self) -> None:
+        """Run ``max_vertex_coverage`` over the pool into ``table``: the best
+        coverage of each budget 0..len(pool), and the width.  ``table``
+        stays None when the pool is wider than the guard; that is not
+        retried."""
+        if self.table is None and not self._refused:
+            try:
+                values, width = max_vertex_coverage(self.instance, self.pool)
+            except InfeasibleError as refusal:
+                log.debug("no coverage table for a pool of %d: %s", len(self.pool), refusal)
+                self._refused = True
+            else:
+                self.table = values.tolist(), width
+
+    def record(self, k: int, value: float, source: str, work: int) -> float:
+        """Note that budget k's bound, ``value``, came from ``source`` after
+        ``work`` (search nodes, width or greedy rounds), and return it."""
+        self.sources[k] = (source, work)
+        log.debug("coverage bound k=%d over a pool of %d: %r from %s (%d)",
+                  k, len(self.pool), value, source, work)
+        return value
 
 
 def exact_max_coverage(
@@ -202,7 +244,8 @@ def exact_max_coverage(
     searching several budgets builds once and passes to each (``pool`` is
     then not read); without one, the call builds its own.
 
-    Raises InfeasibleError when the search would exceed ``cap`` nodes.
+    Raises InfeasibleError when the search would exceed ``cap`` nodes;
+    otherwise sets ``search.visited`` to the search nodes visited.
     """
     if search is None:
         search = CoverageSearch(instance, pool)
@@ -251,7 +294,136 @@ def exact_max_coverage(
             pos += 1
             depth += 1
             covered |= mask
+    search.visited = visited
     return best_pick, best_value
+
+
+def _elimination_plan(pool: list[int], shared: dict[int, dict[int, float]]):
+    """The min-degree elimination order of the graph of roads between pool
+    nodes, ties to the lower node, worked out without building a table.
+
+    Returns one step per node in order, ``(node, its sorted neighbours when
+    eliminated, the steps whose tables it absorbs)``, and the width.  The
+    table of a step holds the neighbours; it goes to the first of them
+    eliminated, or to the end when it holds none.  Raises InfeasibleError
+    at the first step whose table would exceed ``DP_MAX_CELLS``.
+    """
+    adjacency = {v: set(shared[v]) for v in pool}
+    heap = [(len(adjacency[v]), v) for v in pool]
+    heapq.heapify(heap)
+    holders: dict[int, list[int]] = {v: [] for v in pool}  # steps whose table holds v
+    counts: list[int] = []  # pool nodes eliminated into each step's table
+    spent: set[int] = set()  # steps whose table a node has absorbed
+    steps = []
+    width = 0
+    while heap:
+        degree, v = heapq.heappop(heap)
+        neighbours = adjacency.get(v)
+        if neighbours is None or len(neighbours) != degree:
+            continue  # a stale entry
+        del adjacency[v]
+        absorbed = [i for i in holders.pop(v) if i not in spent]
+        count = 1 + sum(counts[i] for i in absorbed)
+        cells = (2 << degree) * count
+        if cells > DP_MAX_CELLS:
+            raise InfeasibleError(
+                f"max vertex coverage needs a table of {cells} cells, over the "
+                f"limit {DP_MAX_CELLS} (node {v} has {degree} neighbours)"
+            )
+        width = max(width, degree)
+        spent.update(absorbed)
+        for u in neighbours:
+            adjacency[u].discard(v)
+            adjacency[u].update(neighbours - {u})
+            heapq.heappush(heap, (len(adjacency[u]), u))
+            holders[u].append(len(steps))
+        steps.append((v, sorted(neighbours), absorbed))
+        counts.append(count)
+    return steps, width
+
+
+def _max_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-plus convolution along the last (count) axis, broadcasting the
+    others: ``out[..., c] = max over i + j = c of a[..., i] + b[..., j]``."""
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
+    length = b.shape[-1]
+    out = np.full(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (a.shape[-1] + length - 1,),
+                  -np.inf)
+    for c in range(a.shape[-1]):
+        np.maximum(out[..., c : c + length], a[..., c : c + 1] + b, out=out[..., c : c + length])
+    return out
+
+
+def max_vertex_coverage(instance: Instance, pool=None) -> tuple[np.ndarray, int]:
+    """Exact max coverage over ``pool`` (default: the user nodes) for every
+    budget at once, by max-plus bucket elimination (Dechter 1999).
+
+    Each pool node is a 0/1 variable.  A road with one pool endpoint, or a
+    pool node's self-loop, adds its weight when that node is taken; a road
+    between two pool nodes adds it when either is; other roads are never
+    covered.  Nodes are eliminated in ``_elimination_plan``'s min-degree
+    order.  Eliminating v adds v's roads to the pool nodes not yet
+    eliminated to the tables it absorbs and maximises v out.  Each table
+    has a count axis as long as the number of pool nodes eliminated into
+    it plus one: entry c is the best value with c of them taken, and
+    tables combine by a max-plus convolution along it.  The tables left
+    holding no node convolve into ``values``, where ``values[c]`` is the
+    best coverage by at most c pool nodes, c = 0..len(pool).  Max
+    k-vertex coverage is fixed-parameter tractable in the treewidth (Guo,
+    Niedermeier & Wernicke 2007).  Under unit weights every value is an
+    integer, so it equals ``exact_max_coverage``'s bit for bit.
+
+    Returns ``values`` and the width of the order, the most neighbours a
+    node had when eliminated.  Raises InfeasibleError, before building
+    any table, when one would exceed ``DP_MAX_CELLS``.
+    """
+    pool = list(range(instance.user_count)) if pool is None else list(pool)
+    own = dict.fromkeys(pool, 0.0)  # weight a node covers whichever others are taken
+    shared: dict[int, dict[int, float]] = {v: {} for v in pool}  # roads to other pool nodes
+    for (u, v), w in zip(instance.sensing.edges, instance.sensing.weight_vector.tolist()):
+        if u != v and u in own and v in own:
+            shared[u][v] = shared[u].get(v, 0.0) + w
+            shared[v][u] = shared[v].get(u, 0.0) + w
+        elif u in own:
+            own[u] += w
+        elif v in own:
+            own[v] += w
+    steps, width = _elimination_plan(pool, shared)
+
+    tables: list[np.ndarray | None] = []
+    done: set[int] = set()
+    values = np.zeros(1)
+    for v, neighbours, absorbed in steps:
+        scope = sorted(neighbours + [v])
+        axis = scope.index(v)
+        table = np.zeros((2,) * len(scope) + (1,))
+        taken = [slice(None)] * len(scope)
+        taken[axis] = 1
+        left = [slice(None)] * len(scope)
+        left[axis] = 0
+        fresh = [(u, w) for u, w in shared[v].items() if u not in done]
+        table[tuple(taken)] += own[v] + sum(w for _, w in fresh)
+        for u, w in fresh:  # v left out: the road is covered when u is taken
+            left[scope.index(u)] = 1
+            table[tuple(left)] += w
+            left[scope.index(u)] = slice(None)
+        for i in absorbed:
+            held = steps[i][1]
+            shape = [2 if node in held else 1 for node in scope]
+            table = _max_plus(table, tables[i].reshape(shape + [-1]))
+            tables[i] = None
+        out = np.full(table.shape[:axis] + table.shape[axis + 1 : -1] + (table.shape[-1] + 1,),
+                      -np.inf)
+        out[..., :-1] = table[tuple(left)]
+        np.maximum(out[..., 1:], table[tuple(taken)], out=out[..., 1:])
+        done.add(v)
+        if neighbours:
+            tables.append(out)
+        else:
+            tables.append(None)
+            values = _max_plus(values, out)
+    return np.maximum.accumulate(values), width
 
 
 def _greedy_prefix_coverage_bound(search: CoverageSearch, k: int) -> float:
@@ -280,25 +452,43 @@ def coverage_upper_bound(
     *,
     search: CoverageSearch | None = None,
 ) -> float:
-    """An upper bound on the best coverage achievable with k nodes.
+    """An upper bound on the best coverage achievable with k nodes, exact
+    unless the pool is wider than ``max_vertex_coverage``'s guard.
 
-    Exact when branch and bound finishes under ``cap``; otherwise the
-    smaller of two valid relaxations: the greedy-prefix submodularity
-    bound and the total edge weight.  No other relaxation can be lower:
-    the k largest single-node coverages are the prefix bound at t = 0,
-    summed in the same order, and the prefix bound's minimum over t is at
-    most greedy / (1 - (1 - 1/k)^k), below greedy / (1 - 1/e) (Nemhauser,
-    Wolsey & Fisher 1978).  ``search`` is as in ``exact_max_coverage``.
+    Until a search over ``search``'s pool caps, each budget runs the
+    branch and bound: source ``exact-search``, with the search nodes it
+    visited.  The first search to exceed ``cap`` nodes builds
+    ``search.table``, and that budget and every later one read their
+    value from it without searching: ``exact-dp``, with the width.  When
+    the pool is too wide for the table, a capped budget gets the smaller
+    of two valid relaxations: ``greedy-prefix``, with the greedy rounds
+    read.  They are the greedy-prefix submodularity bound and the total
+    edge weight.  No other relaxation can be lower: the k largest
+    single-node coverages are the prefix bound at t = 0, summed in the
+    same order, and the prefix bound's minimum over t is at most
+    greedy / (1 - (1 - 1/k)^k), below greedy / (1 - 1/e) (Nemhauser,
+    Wolsey & Fisher 1978).  The source is recorded in
+    ``search.sources[k]`` and logged at debug level.  ``search`` is as in
+    ``exact_max_coverage``.
     """
     if k <= 0:
         return 0.0
     if search is None:
         search = CoverageSearch(instance, pool)
-    try:
-        return exact_max_coverage(instance, k, pool, cap=cap, search=search)[1]
-    except InfeasibleError:
-        total = float(instance.sensing.weight_vector.sum())
-        return min(total, _greedy_prefix_coverage_bound(search, k))
+    if search.table is None:
+        try:
+            value = exact_max_coverage(instance, k, pool, cap=cap, search=search)[1]
+        except InfeasibleError:
+            search.build_table()
+        else:
+            return search.record(k, value, "exact-search", search.visited)
+    if search.table is not None:
+        values, width = search.table
+        return search.record(k, values[min(k, len(values) - 1)], "exact-dp", width)
+    total = float(instance.sensing.weight_vector.sum())
+    rounds = min(k, len(search.pool)) + 1
+    return search.record(k, min(total, _greedy_prefix_coverage_bound(search, k)),
+                         "greedy-prefix", rounds)
 
 
 def phi_empty(instance: Instance) -> WelfareBreakdown:
@@ -310,6 +500,19 @@ def phi_empty(instance: Instance) -> WelfareBreakdown:
     return WelfareBreakdown.from_per_user(own_access(instance) @ instance.sensing.weight_vector)
 
 
+def welfare_ceiling(instance: Instance) -> float:
+    """The welfare of broadcasting every road, which no solution exceeds:
+    the total road weight, or with interest profiles the mean over users
+    of the weight of each user's interest set."""
+    weights = instance.sensing.weight_vector
+    prefs = instance.preferences
+    if prefs is None:
+        return float(weights.sum())
+    return WelfareBreakdown.from_per_user(
+        weights[sorted(edges)].sum() for edges in prefs.per_user_edges
+    ).average
+
+
 def ub1(
     instance: Instance,
     k: int,
@@ -319,18 +522,21 @@ def ub1(
     search: CoverageSearch | None = None,
 ) -> float:
     """Upper bound on the static optimum: base welfare plus the best
-    k-user coverage (exact when affordable, safely relaxed otherwise).
+    k-user coverage (``coverage_upper_bound``: exact unless the user pool
+    is too wide for its table), capped at ``welfare_ceiling``.
 
     ``base`` is ``phi_empty(instance).average``, computed here when not
     given; ``search`` is a ``CoverageSearch(instance)``, built here when
-    not given.  A caller bounding many budgets passes both once.
+    not given.  A caller bounding many budgets passes both once, so a
+    search that caps builds one table for every budget.
     """
     if base is None:
         base = phi_empty(instance).average
     if k <= 0:
         return base
     k = min(k, instance.user_count)
-    return base + coverage_upper_bound(instance, k, cap=cap, search=search)
+    coverage = coverage_upper_bound(instance, k, cap=cap, search=search)
+    return min(welfare_ceiling(instance), base + coverage)
 
 
 def static_bound(k: int, m: int) -> float:

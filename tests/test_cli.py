@@ -456,30 +456,40 @@ def test_ingest_refuses_a_non_numeric_bbox_as_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cap, digest", [
-    # the budgets of 12 to 30 nodes capped
-    ("20000", "bc7dfb0136495934efb949d6a2d54dddac5be9f119b9cf85faa8498701b73def"),
-    # every budget relaxed
-    ("0", "3968105f7b7ab820296a4984420c4a5e9969b6aeeafa7cb5476b3fe1265e4463"),
+@pytest.mark.parametrize("cap, first_table_budget", [
+    # the searches of 3 to 9 nodes finish, the one of 12 caps
+    ("20000", 12),
+    # the first search caps
+    ("0", 3),
 ])
-def test_mobile_sweep_bounds_share_one_node_search(tmp_path, monkeypatch, capsys, cap, digest):
-    # every budget's ub2 reads one CoverageSearch over all 40 nodes, and the
-    # CSV, without wall_time_ms, is the one a search per budget wrote
+def test_mobile_sweep_bounds_share_one_node_search(tmp_path, monkeypatch, capsys, cap,
+                                                   first_table_budget):
+    # every budget's ub2 reads one CoverageSearch over all 40 nodes: the
+    # search runs until a budget caps, and that budget and every later one
+    # read the search's coverage table.  The CSV, without wall_time_ms, is
+    # the same at both caps (every bound is exact, capped at the ceiling of
+    # 98 roads).
     path = tmp_path / "golden.json"
     ps.save_instance(golden_instance(), path)
     real_init = ps.static_solver.CoverageSearch.__init__
-    pools = []
+    searches = []
 
     def counted_init(self, instance, pool=None):
         real_init(self, instance, pool)
-        pools.append(len(self.pool))
+        searches.append(self)
 
     monkeypatch.setattr(ps.static_solver.CoverageSearch, "__init__", counted_init)
     assert main(["sweep", str(path), "--k-range", "1:10", "--algorithms", "gps,adjusted-gps",
                  "-n", "2", "-g", "2", "--cap", cap]) == 0
     out = capsys.readouterr().out
-    assert pools == [40]
-    assert hashlib.sha256(_strip_wall_time(out).encode()).hexdigest() == digest
+    assert [len(search.pool) for search in searches] == [40]
+    assert {budget: source for budget, (source, _) in searches[0].sources.items()} == {
+        budget: "exact-search" if budget < first_table_budget else "exact-dp"
+        for budget in range(3, 31, 3)
+    }
+    assert hashlib.sha256(_strip_wall_time(out).encode()).hexdigest() == (
+        "fb02eb186d7e321d7d3e3ce44a1cdf4407b73ee5f0027e1f65a2a36060b411d7"
+    )
 
 
 @pytest.mark.parametrize("argv, message", [

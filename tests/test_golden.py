@@ -2,9 +2,11 @@
 
 Each file in ``tests/golden/`` is the stdout of one request with the
 ``wall_time_ms`` values removed; a rewrite of the solvers must reproduce
-them byte for byte.  ``--cap 20000`` stops ``ub1`` at the larger budgets
-and both ``ub2`` searches, so the relaxed bounds are pinned as well as
-the exact ones.
+them byte for byte.  ``--cap 20000`` stops ``ub1``'s search at budget 12
+and every ``ub2`` search, so those bounds come from the coverage table.
+From budget 3 on, every bound is the ceiling of broadcasting all 98
+roads, which the table's values exceed; ``test_static_solver`` checks
+the table itself.
 
 Regenerate after an intended output change with
 

@@ -1,4 +1,5 @@
 import functools
+import logging
 import math
 import random
 from itertools import combinations
@@ -10,10 +11,14 @@ from hypothesis import given, settings, strategies as st
 import poishare as ps
 from poishare.static_solver import (
     CoverageSearch,
+    _greedy_prefix_coverage_bound,
     coverage_upper_bound,
     exact_max_coverage,
     greedy_max_coverage,
+    max_vertex_coverage,
+    welfare_ceiling,
 )
+from poishare.welfare import WEIGHTED_EQUALITY_TOL
 from util import (
     assert_greedy_rounds,
     coverage_total,
@@ -220,7 +225,9 @@ def test_exact_coverage_search_is_not_bounded_by_the_recursion_limit():
     inst = ps.vcp_reduction_instance(1200, edges)
     with pytest.raises(ps.InfeasibleError, match="search cap"):
         exact_max_coverage(inst, 400, cap=20_000)
-    assert 1100 <= coverage_upper_bound(inst, 400, cap=20_000) <= 1200
+    search = CoverageSearch(inst)
+    assert coverage_upper_bound(inst, 400, cap=20_000, search=search) == 1100.0
+    assert search.sources[400] == ("exact-dp", 3)
 
 
 def test_a_shared_search_set_up_changes_no_search():
@@ -240,8 +247,13 @@ def test_a_shared_search_set_up_changes_no_search():
 
 
 def test_ub1_from_a_shared_search_equals_separate_calls(monkeypatch):
-    """ub1 over one CoverageSearch gives every budget the bits of a separate
-    ub1 call, and the same budgets' searches raise InfeasibleError inside."""
+    """ub1 over one CoverageSearch gives every budget the value of a
+    separate ub1 call: the same bits under unit weights, and within
+    WEIGHTED_EQUALITY_TOL under weights, where a budget may read the
+    coverage table that a separate call would have searched for.  Once
+    the shared search has a table it searches no more, so the budgets
+    whose search raised InfeasibleError inside it are some of the
+    separate calls' ones."""
     real_search = ps.static_solver.exact_max_coverage
     raised = []
 
@@ -270,10 +282,14 @@ def test_ub1_from_a_shared_search_equals_separate_calls(monkeypatch):
         base = ps.phi_empty(inst).average
         search = CoverageSearch(inst)
         shared = [ps.ub1(inst, k, cap=cap, base=base, search=search) for k in ks]
-        shared_raised = sorted(raised)
+        shared_raised = set(raised)
         raised.clear()
-        assert shared == [ps.ub1(inst, k, cap=cap) for k in ks], cap
-        assert shared_raised == sorted(raised), cap
+        separate = [ps.ub1(inst, k, cap=cap) for k in ks]
+        if inst.sensing.edge_weights is None:
+            assert shared == separate, cap
+        else:
+            assert shared == pytest.approx(separate, rel=0, abs=WEIGHTED_EQUALITY_TOL), cap
+        assert shared_raised <= set(raised), cap
         capped_budgets += len(raised)
         raised.clear()
     assert 0 < capped_budgets < sum(len(budgets) for _, _, budgets in cases)
@@ -294,11 +310,14 @@ def _fresh_prefix_bound(rows, weights, k):
     return best
 
 
-def test_relaxed_bound_from_a_recorded_greedy_keeps_its_bits():
-    """A capped coverage_upper_bound reads the greedy rounds that its
+def test_relaxed_bound_from_a_recorded_greedy_keeps_its_bits(monkeypatch):
+    """The greedy-prefix bound reads the greedy rounds that its
     CoverageSearch recorded, already extended to the whole pool, and
     returns the bits of a prefix bound over a fresh greedy_cover run, over
-    the users and over all nodes, weighted or not."""
+    the users and over all nodes, weighted or not.  With the coverage
+    table refused by its guard, a capped coverage_upper_bound returns that
+    bound or the total weight, whichever is smaller."""
+    monkeypatch.setattr(ps.static_solver, "DP_MAX_CELLS", 0)
     rng = random.Random(144)
     capped = 0
     for inst in mixed_instances(144, 40):
@@ -309,13 +328,17 @@ def test_relaxed_bound_from_a_recorded_greedy_keeps_its_bits():
             assert len(search.rounds(len(pool) + 1)) == len(pool)
             rows = inst.sensing.incidence[pool]
             for k in rng.sample(range(1, len(pool) + 2), len(pool) + 1):
+                prefix = _fresh_prefix_bound(rows, weights, k)
+                assert _greedy_prefix_coverage_bound(search, k) == prefix, k
                 got = coverage_upper_bound(inst, k, pool, cap=1, search=search)
                 exact = _search_outcome(exact_max_coverage, inst, k, pool, 1)
                 if exact == "capped":
                     capped += 1
-                    assert got == min(total, _fresh_prefix_bound(rows, weights, k)), k
+                    assert got == min(total, prefix), k
+                    assert search.sources[k] == ("greedy-prefix", min(k, len(pool)) + 1), k
                 else:
                     assert got == exact[1], k
+            assert search.table is None
     assert capped > 500
 
 
@@ -351,9 +374,10 @@ def _tiny_instances(draw):
 
 def test_relaxed_bounds_dominate_the_optima_property():
     """With the search capped at one node, ub1 and ub2 still dominate the
-    brute-force optima, and the relaxed coverage bound is never above the
-    two relaxations it replaced: greedy / (1 - 1/e) and the k largest
-    single-node coverages."""
+    brute-force optima and stay at or below the welfare of broadcasting
+    every road, and the coverage bound is never above the two relaxations
+    it replaced: greedy / (1 - 1/e) and the k largest single-node
+    coverages."""
     # Hypothesis runs inside a plain test, as in test_pipeline: a failing
     # @given test collected by pytest would abort the whole pytest run.
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -369,6 +393,10 @@ def test_relaxed_bounds_dominate_the_optima_property():
             except ps.InfeasibleError:  # fewer than k walks with distinct starts
                 continue
             assert ps.ub2(instance, n, k, cap=1) >= opt - 1e-9
+        ceiling = welfare_ceiling(instance)
+        for k in range(1, instance.node_count + 1):
+            assert ps.ub1(instance, min(k, m), cap=1) <= ceiling
+            assert ps.ub2(instance, n, k, cap=1) <= ceiling
         weights = instance.sensing.weight_vector
         for pool in (list(range(m)), list(range(instance.node_count))):
             solo = sorted((instance.sensing.incidence[pool] @ weights).tolist(), reverse=True)
@@ -386,9 +414,97 @@ def test_relaxed_bounds_dominate_the_optima_property():
     dominated()
 
 
+def test_coverage_table_equals_the_searches_property():
+    """max_vertex_coverage's table holds, at every budget, the value of the
+    uncapped search and of its recursive reference, over the users and
+    over all nodes: the same bits under unit weights, within
+    WEIGHTED_EQUALITY_TOL under weights."""
+    # Hypothesis runs inside a plain test, as in test_pipeline: a failing
+    # @given test collected by pytest would abort the whole pytest run.
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(instance=_tiny_instances())
+    def equal(instance):
+        for pool in (list(range(instance.user_count)), list(range(instance.node_count))):
+            values, width = max_vertex_coverage(instance, pool)
+            assert len(values) == len(pool) + 1 and values[0] == 0.0
+            assert 0 <= width < len(pool)
+            for k in range(1, len(pool) + 1):
+                searched = exact_max_coverage(instance, k, pool)[1]
+                reference = reference_exact_max_coverage(instance, k, pool)[1]
+                if instance.sensing.edge_weights is None:
+                    assert values[k] == searched == reference, k
+                else:
+                    assert values[k] == pytest.approx(searched, rel=0, abs=WEIGHTED_EQUALITY_TOL)
+                    assert values[k] == pytest.approx(reference, rel=0, abs=WEIGHTED_EQUALITY_TOL)
+
+    equal()
+
+
+@pytest.mark.parametrize("seed", [7, 101])
+def test_coverage_table_equals_the_search_on_the_paper_instance(seed):
+    """On the paper instance (every node a user) the table's width is 7, and
+    it holds the search's bits at every budget the search finishes under
+    the CLI's cap."""
+    inst = ps.synth_instance(ps.GenSpec(mode="gowalla-like", node_count=92, knn=4,
+                                        degree_mean=24.0, degree_sigma=8.0, seed=seed))
+    values, width = max_vertex_coverage(inst)
+    assert width == 7
+    search = CoverageSearch(inst)
+    finished = 0
+    for k in range(1, len(values)):
+        try:
+            assert exact_max_coverage(inst, k, cap=500_000, search=search)[1] == values[k], k
+        except ps.InfeasibleError:
+            break
+        finished = k
+    assert finished >= 17
+
+
+def test_a_pool_wider_than_the_guard_falls_back_to_the_prefix_bound():
+    """On a complete graph of 24 users the first node eliminated has 23
+    neighbours, a table past DP_MAX_CELLS: the guard refuses it at that
+    step, and a capped budget gets the greedy-prefix bound."""
+    inst = ps.vcp_reduction_instance(24, list(combinations(range(24), 2)))
+    with pytest.raises(ps.InfeasibleError, match="node 0 has 23 neighbours"):
+        max_vertex_coverage(inst)
+    search = CoverageSearch(inst)
+    for k in (12, 3):
+        got = coverage_upper_bound(inst, k, cap=1, search=search)
+        assert got == min(276.0, _greedy_prefix_coverage_bound(search, k))
+        assert search.sources[k] == ("greedy-prefix", k + 1)
+    assert search.table is None
+
+
+def test_a_capped_paper_ub1_reports_exact_dp(caplog):
+    """Each budget records and logs where its bound came from: the search
+    with its nodes visited until one caps, then the table with its width,
+    for that budget and every later one."""
+    inst = ps.synth_instance(ps.GenSpec(mode="gowalla-like", node_count=92, knn=4,
+                                        degree_mean=24.0, degree_sigma=8.0, seed=7))
+    search = CoverageSearch(inst)
+    base = ps.phi_empty(inst).average
+    caplog.set_level(logging.DEBUG, logger="poishare.static_solver")
+    for k in (1, 12, 30, 9):
+        ps.ub1(inst, k, cap=20_000, base=base, search=search)
+    assert search.sources == {1: ("exact-search", 1), 12: ("exact-search", 407),
+                              30: ("exact-dp", 7), 9: ("exact-dp", 7)}
+    logged = [r.getMessage() for r in caplog.records if r.name == "poishare.static_solver"]
+    assert len(logged) == 4 and "161.0 from exact-dp (7)" in logged[2]
+
+
+def test_welfare_ceiling_is_the_welfare_of_broadcasting_every_node():
+    for inst in mixed_instances(145, 40):
+        everything = ps.broadcast_breakdown(inst, range(inst.node_count)).average
+        if inst.sensing.edge_weights is None:
+            assert welfare_ceiling(inst) == everything
+        else:
+            assert welfare_ceiling(inst) == pytest.approx(everything, rel=0, abs=WEIGHTED_EQUALITY_TOL)
+
+
 def test_ub1_examples_and_dominance():
     inst = path3()
-    assert ps.ub1(inst, 1) == pytest.approx(4 / 3 + 2)
+    # base plus the best coverage, 4/3 + 2, passes the two roads' ceiling
+    assert ps.ub1(inst, 1) == 2.0
     assert ps.ub1(inst, 0) == pytest.approx(4 / 3)
     rng = random.Random(28)
     for _ in range(60):
