@@ -141,9 +141,10 @@ def run_sweep(
     Upper bounds are computed once per k, from one base welfare and one
     ``CoverageSearch`` per bound shared by every budget: over the users
     for ``ub1``, over every node for ``ub2``.  Once a budget's search
-    caps, the later budgets read the search's one coverage table.  The mobile algorithms share
-    one walk enumeration.  Both happen before any algorithm's timer
-    starts, so ``wall_time_ms`` is the algorithm's own time.
+    caps, the later budgets read the search's one coverage table.  The
+    mobile algorithms share one walk enumeration.  Both happen before any
+    algorithm's timer starts, so ``wall_time_ms`` is the algorithm's own
+    time.
     """
     m = instance.user_count
     k_max = max(ks)
@@ -365,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=_SEARCH_CAP,
             help="search-node limit of the exact max-coverage search behind ub1/ub2; "
-            "past it the bound is read from a table built by bucket elimination, "
-            "exact unless the graph is too wide for it, and then relaxed but still valid",
+            "past it the bound is read from a table built by bucket elimination: exact, "
+            "unless the table would be too large, and then relaxed but still valid",
         )
 
     p = sub.add_parser("solve-static", help="greedy user selection")

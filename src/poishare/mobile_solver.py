@@ -424,7 +424,7 @@ def ub2(
     dominates every feasible solution; a budget of n*k nodes does not,
     and small instances exist where it undercuts the true optimum.  The
     coverage is ``coverage_upper_bound``'s: exact unless the node pool is
-    too wide for its table.  ``base`` is ``phi_empty(instance).average``,
+    too large for its table.  ``base`` is ``phi_empty(instance).average``,
     computed here when not given; ``search`` is a ``CoverageSearch`` over
     every node, built here when not given.  A caller bounding many
     budgets passes both once, so a search that caps builds one table for

@@ -29,6 +29,10 @@ DEFAULT_ENUMERATION_CAP = 2_000_000
 #: assignments of a node and its neighbours times the count axis.  2^20
 #: float64 cells are 8 MB.
 DP_MAX_CELLS = 1 << 20
+#: Most cell updates ``max_vertex_coverage``'s convolutions may make, about
+#: 2 s on a 2-vCPU host: a long, narrow graph passes the cell limit but
+#: convolves count axes of thousands of entries.
+DP_MAX_WORK = 1 << 28
 
 log = logging.getLogger(__name__)
 
@@ -193,7 +197,7 @@ class CoverageSearch:
     def build_table(self) -> None:
         """Run ``max_vertex_coverage`` over the pool into ``table``: the best
         coverage of each budget 0..len(pool), and the width.  ``table``
-        stays None when the pool is wider than the guard; that is not
+        stays None when the guards refuse the pool; that is not
         retried."""
         if self.table is None and not self._refused:
             try:
@@ -306,7 +310,10 @@ def _elimination_plan(pool: list[int], shared: dict[int, dict[int, float]]):
     eliminated, the steps whose tables it absorbs)``, and the width.  The
     table of a step holds the neighbours; it goes to the first of them
     eliminated, or to the end when it holds none.  Raises InfeasibleError
-    at the first step whose table would exceed ``DP_MAX_CELLS``.
+    at the first step whose table would exceed ``DP_MAX_CELLS``, or whose
+    convolutions would take the cell updates so far past ``DP_MAX_WORK``:
+    convolving count axes of lengths a and b over s assignments updates
+    s * a * b cells.
     """
     adjacency = {v: set(shared[v]) for v in pool}
     heap = [(len(adjacency[v]), v) for v in pool]
@@ -315,7 +322,8 @@ def _elimination_plan(pool: list[int], shared: dict[int, dict[int, float]]):
     counts: list[int] = []  # pool nodes eliminated into each step's table
     spent: set[int] = set()  # steps whose table a node has absorbed
     steps = []
-    width = 0
+    width = work = 0
+    finished = 1  # the count axis of the tables that hold no node, convolved
     while heap:
         degree, v = heapq.heappop(heap)
         neighbours = adjacency.get(v)
@@ -329,6 +337,18 @@ def _elimination_plan(pool: list[int], shared: dict[int, dict[int, float]]):
             raise InfeasibleError(
                 f"max vertex coverage needs a table of {cells} cells, over the "
                 f"limit {DP_MAX_CELLS} (node {v} has {degree} neighbours)"
+            )
+        length = 1
+        for i in absorbed:
+            work += (2 << degree) * length * (counts[i] + 1)
+            length += counts[i]
+        if not neighbours:
+            work += finished * (count + 1)
+            finished += count
+        if work > DP_MAX_WORK:
+            raise InfeasibleError(
+                f"max vertex coverage would make {work} cell updates by node {v} "
+                f"({len(steps)} of {len(pool)} eliminated), over the limit {DP_MAX_WORK}"
             )
         width = max(width, degree)
         spent.update(absorbed)
@@ -376,7 +396,8 @@ def max_vertex_coverage(instance: Instance, pool=None) -> tuple[np.ndarray, int]
 
     Returns ``values`` and the width of the order, the most neighbours a
     node had when eliminated.  Raises InfeasibleError, before building
-    any table, when one would exceed ``DP_MAX_CELLS``.
+    any table, when one would exceed ``DP_MAX_CELLS`` or all of them would
+    take more than ``DP_MAX_WORK`` cell updates.
     """
     pool = list(range(instance.user_count)) if pool is None else list(pool)
     own = dict.fromkeys(pool, 0.0)  # weight a node covers whichever others are taken
@@ -453,14 +474,14 @@ def coverage_upper_bound(
     search: CoverageSearch | None = None,
 ) -> float:
     """An upper bound on the best coverage achievable with k nodes, exact
-    unless the pool is wider than ``max_vertex_coverage``'s guard.
+    unless the pool is too large for ``max_vertex_coverage``'s guards.
 
     Until a search over ``search``'s pool caps, each budget runs the
     branch and bound: source ``exact-search``, with the search nodes it
     visited.  The first search to exceed ``cap`` nodes builds
     ``search.table``, and that budget and every later one read their
     value from it without searching: ``exact-dp``, with the width.  When
-    the pool is too wide for the table, a capped budget gets the smaller
+    the guards refuse the table, a capped budget gets the smaller
     of two valid relaxations: ``greedy-prefix``, with the greedy rounds
     read.  They are the greedy-prefix submodularity bound and the total
     edge weight.  No other relaxation can be lower: the k largest
@@ -523,7 +544,7 @@ def ub1(
 ) -> float:
     """Upper bound on the static optimum: base welfare plus the best
     k-user coverage (``coverage_upper_bound``: exact unless the user pool
-    is too wide for its table), capped at ``welfare_ceiling``.
+    is too large for its table), capped at ``welfare_ceiling``.
 
     ``base`` is ``phi_empty(instance).average``, computed here when not
     given; ``search`` is a ``CoverageSearch(instance)``, built here when

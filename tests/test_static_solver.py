@@ -475,6 +475,19 @@ def test_a_pool_wider_than_the_guard_falls_back_to_the_prefix_bound():
     assert search.table is None
 
 
+def test_a_long_narrow_pool_is_refused_before_its_convolutions():
+    """A 4 x 2,500 grid has width 4, so no table passes DP_MAX_CELLS, but
+    its count axes grow to thousands of entries and the convolutions would
+    take well over DP_MAX_WORK cell updates (about 13 s): the plan refuses
+    it part way, before any table is built."""
+    cols = 2_500
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(4) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(3) for c in range(cols)]
+    inst = ps.vcp_reduction_instance(4 * cols, edges)
+    with pytest.raises(ps.InfeasibleError, match="cell updates by node"):
+        max_vertex_coverage(inst)
+
+
 def test_a_capped_paper_ub1_reports_exact_dp(caplog):
     """Each budget records and logs where its bound came from: the search
     with its nodes visited until one caps, then the table with its width,
