@@ -39,6 +39,12 @@ def path3():
     )
 
 
+def _paper_instance(seed: int) -> ps.Instance:
+    """The benchmark's paper instance: 92 gowalla-like locations, all users."""
+    return ps.synth_instance(ps.GenSpec(mode="gowalla-like", node_count=92, knn=4,
+                                        degree_mean=24.0, degree_sigma=8.0, seed=seed))
+
+
 def star(leaves: int):
     edges = tuple((0, i) for i in range(1, leaves + 1))
     n = leaves + 1
@@ -266,8 +272,7 @@ def test_ub1_from_a_shared_search_equals_separate_calls(monkeypatch):
 
     monkeypatch.setattr(ps.static_solver, "exact_max_coverage", recording)
     rng = random.Random(143)
-    paper = ps.synth_instance(ps.GenSpec(mode="gowalla-like", node_count=92, knn=4,
-                                         degree_mean=24.0, degree_sigma=8.0, seed=7))
+    paper = _paper_instance(7)
     *small, golden, golden_weighted = mixed_instances(143, 40)
     cases = [(inst, cap, range(1, inst.user_count + 1))
              for inst in small for cap in (200, 20_000, 500_000)]
@@ -445,8 +450,7 @@ def test_coverage_table_equals_the_search_on_the_paper_instance(seed):
     """On the paper instance (every node a user) the table's width is 7, and
     it holds the search's bits at every budget the search finishes under
     the CLI's cap."""
-    inst = ps.synth_instance(ps.GenSpec(mode="gowalla-like", node_count=92, knn=4,
-                                        degree_mean=24.0, degree_sigma=8.0, seed=seed))
+    inst = _paper_instance(seed)
     values, width = max_vertex_coverage(inst)
     assert width == 7
     search = CoverageSearch(inst)
@@ -492,8 +496,7 @@ def test_a_capped_paper_ub1_reports_exact_dp(caplog):
     """Each budget records and logs where its bound came from: the search
     with its nodes visited until one caps, then the table with its width,
     for that budget and every later one."""
-    inst = ps.synth_instance(ps.GenSpec(mode="gowalla-like", node_count=92, knn=4,
-                                        degree_mean=24.0, degree_sigma=8.0, seed=7))
+    inst = _paper_instance(7)
     search = CoverageSearch(inst)
     base = ps.phi_empty(inst).average
     caplog.set_level(logging.DEBUG, logger="poishare.static_solver")
