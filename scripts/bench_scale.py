@@ -6,13 +6,14 @@ For each node count it builds the instance with
 
     poishare gen --mode gowalla-like --seed 7 --nodes N --out FILE
 
-and then runs on it ``validate``, ``solve-static -k 30 --route both``,
-``solve-mobile -n 2 -k 10 -g 1``, ``solve-mobile -n 3 -k 10 -g 1 --route
-both`` and ``sweep --k-range 1:30``.  Every command runs ``REPEATS``
-times, each time in a fresh child of a fresh wrapper process, so the
-wrapper's ``RUSAGE_CHILDREN`` peak resident set is the command's own, and
-its wall time includes the interpreter's start-up and imports.  At 92
-nodes, the paper's size, those dominate.
+and then runs on it ``validate``, ``solve-static -k 30`` on the default
+route and with ``--route both``, ``solve-mobile -n 2 -k 10 -g 1``,
+``solve-mobile -n 3 -k 10 -g 1 --route both`` and ``sweep --k-range
+1:30``.  Every command runs ``REPEATS`` times, each time in a fresh
+child of a fresh wrapper process, so the wrapper's ``RUSAGE_CHILDREN``
+peak resident set is the command's own, and its wall time includes the
+interpreter's start-up and imports.  At 92 nodes, the paper's size,
+those dominate.
 Before each run the checkout's ``__pycache__`` directories are deleted,
 so no side imports bytecode an earlier run left.
 
@@ -43,6 +44,7 @@ REPEATS = 3
 SEED = 7
 REQUESTS = (
     ("validate", "{instance}"),
+    ("solve-static", "{instance}", "-k", "30"),
     ("solve-static", "{instance}", "-k", "30", "--route", "both"),
     ("solve-mobile", "{instance}", "-n", "2", "-k", "10", "-g", "1"),
     ("solve-mobile", "{instance}", "-n", "3", "-k", "10", "-g", "1", "--route", "both"),

@@ -427,8 +427,9 @@ def ub2(
     too large for its table.  ``base`` is ``phi_empty(instance).average``,
     computed here when not given; ``search`` is a ``CoverageSearch`` over
     every node, built here when not given.  A caller bounding many
-    budgets passes both once, so a search that caps builds one table for
-    every budget.
+    budgets passes both once and asks for the largest budget first, so if
+    its search caps, it builds one table that every smaller budget reads
+    without searching.
     """
     if n < 1:
         raise InputError(f"walk length n must be >= 1, got {n}")

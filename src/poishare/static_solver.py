@@ -150,7 +150,9 @@ class CoverageSearch:
     ``build_table()`` runs ``max_vertex_coverage`` over the pool once, the
     first time ``coverage_upper_bound``'s search caps, into ``table``, the
     best coverage of every budget; ``coverage_upper_bound`` reads every
-    later budget from it.  ``sources`` records, per budget bounded, where the
+    later budget from it.  A caller bounding many budgets asks for the
+    largest first, so that when its search caps, every budget reads the
+    table.  ``sources`` records, per budget bounded, where the
     bound came from (see ``coverage_upper_bound``), and ``visited`` the
     search nodes of the last search that finished.  Single owner; not
     shareable between threads.
@@ -480,9 +482,11 @@ def coverage_upper_bound(
     branch and bound: source ``exact-search``, with the search nodes it
     visited.  The first search to exceed ``cap`` nodes builds
     ``search.table``, and that budget and every later one read their
-    value from it without searching: ``exact-dp``, with the width.  When
-    the guards refuse the table, a capped budget gets the smaller
-    of two valid relaxations: ``greedy-prefix``, with the greedy rounds
+    value from it without searching: ``exact-dp``, with the width.  A
+    caller bounding many budgets over one search asks for the largest
+    first, so that when its search caps, no smaller budget searches.  When
+    the guards refuse the table, a capped budget gets the smaller of two
+    valid relaxations: ``greedy-prefix``, with the greedy rounds
     read.  They are the greedy-prefix submodularity bound and the total
     edge weight.  No other relaxation can be lower: the k largest
     single-node coverages are the prefix bound at t = 0, summed in the
@@ -548,8 +552,9 @@ def ub1(
 
     ``base`` is ``phi_empty(instance).average``, computed here when not
     given; ``search`` is a ``CoverageSearch(instance)``, built here when
-    not given.  A caller bounding many budgets passes both once, so a
-    search that caps builds one table for every budget.
+    not given.  A caller bounding many budgets passes both once and asks
+    for the largest budget first, so if its search caps, it builds one
+    table that every smaller budget reads without searching.
     """
     if base is None:
         base = phi_empty(instance).average

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -5,10 +6,12 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import poishare as ps
-from poishare.cli import CSV_HEADER, main, run_sweep
-from util import golden_instance, mixed_instances
+from poishare.cli import _SEARCH_CAP, CSV_HEADER, STATIC_ALGORITHMS, main, run_sweep
+from poishare.welfare import WEIGHTED_EQUALITY_TOL
+from util import fresh_interpreter, golden_instance, mixed_instances
 
 
 @pytest.fixture()
@@ -456,21 +459,27 @@ def test_ingest_refuses_a_non_numeric_bbox_as_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cap, first_table_budget", [
-    # the searches of 3 to 9 nodes finish, the one of 12 caps
-    ("20000", 12),
-    # the first search caps
-    ("0", 3),
-])
-def test_mobile_sweep_bounds_share_one_node_search(tmp_path, monkeypatch, capsys, cap,
-                                                   first_table_budget):
-    # every budget's ub2 reads one CoverageSearch over all 40 nodes: the
-    # search runs until a budget caps, and that budget and every later one
-    # read the search's coverage table.  The CSV, without wall_time_ms, is
-    # the same at both caps (every bound is exact, capped at the ceiling of
-    # 98 roads).
-    path = tmp_path / "golden.json"
-    ps.save_instance(golden_instance(), path)
+def _record_searches(monkeypatch) -> list[tuple[int, int, bool]]:
+    """Patch ``exact_max_coverage`` to note each call's pool size, budget
+    and whether it capped; returns the list it appends to."""
+    real_search = ps.static_solver.exact_max_coverage
+    calls = []
+
+    def recording(instance, k, *args, search=None, **kwargs):
+        try:
+            found = real_search(instance, k, *args, search=search, **kwargs)
+        except ps.InfeasibleError:
+            calls.append((len(search.pool), k, True))
+            raise
+        calls.append((len(search.pool), k, False))
+        return found
+
+    monkeypatch.setattr(ps.static_solver, "exact_max_coverage", recording)
+    return calls
+
+
+def _record_coverage_searches(monkeypatch) -> list:
+    """Patch ``CoverageSearch.__init__`` to keep every search built."""
     real_init = ps.static_solver.CoverageSearch.__init__
     searches = []
 
@@ -479,17 +488,124 @@ def test_mobile_sweep_bounds_share_one_node_search(tmp_path, monkeypatch, capsys
         searches.append(self)
 
     monkeypatch.setattr(ps.static_solver.CoverageSearch, "__init__", counted_init)
+    return searches
+
+
+@pytest.mark.parametrize("cap", ["20000", "0"])
+def test_mobile_sweep_bounds_share_one_node_search(tmp_path, monkeypatch, capsys, cap):
+    # every budget's ub2 reads one CoverageSearch over all 40 nodes.  The
+    # largest budget, 30 nodes, is searched first and caps at either cap,
+    # so it builds the coverage table and every smaller budget reads it.
+    # The CSV, without wall_time_ms, is the same at both caps (every bound
+    # is exact, capped at the ceiling of 98 roads).
+    path = tmp_path / "golden.json"
+    ps.save_instance(golden_instance(), path)
+    searches = _record_coverage_searches(monkeypatch)
+    calls = _record_searches(monkeypatch)
     assert main(["sweep", str(path), "--k-range", "1:10", "--algorithms", "gps,adjusted-gps",
                  "-n", "2", "-g", "2", "--cap", cap]) == 0
     out = capsys.readouterr().out
     assert [len(search.pool) for search in searches] == [40]
-    assert {budget: source for budget, (source, _) in searches[0].sources.items()} == {
-        budget: "exact-search" if budget < first_table_budget else "exact-dp"
-        for budget in range(3, 31, 3)
-    }
+    assert calls == [(40, 30, True)]
+    assert searches[0].sources == {budget: ("exact-dp", 5) for budget in range(3, 31, 3)}
     assert hashlib.sha256(_strip_wall_time(out).encode()).hexdigest() == (
         "fb02eb186d7e321d7d3e3ce44a1cdf4407b73ee5f0027e1f65a2a36060b411d7"
     )
+
+
+def test_paper_sweep_reads_every_bound_from_one_capped_search(tmp_path, monkeypatch, capsys):
+    # the paper's k = 1..30 sweep: ub1 bounds budget 30 first, its search
+    # caps and builds the width-7 coverage table, and every budget reads
+    # it.  The rows are those of bounding the budgets in rising order,
+    # where the searches of 1..17 finished.
+    path = tmp_path / "paper.json"
+    assert main(["gen", "--mode", "gowalla-like", "--nodes", "92", "--seed", "7",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    searches = _record_coverage_searches(monkeypatch)
+    calls = _record_searches(monkeypatch)
+    assert main(["sweep", str(path), "--k-range", "1:30"]) == 0
+    out = capsys.readouterr().out
+    assert [len(search.pool) for search in searches] == [92]
+    assert calls == [(92, 30, True)]
+    assert searches[0].sources == {budget: ("exact-dp", 7) for budget in range(1, 31)}
+    assert hashlib.sha256(_strip_wall_time(out).encode()).hexdigest() == (
+        "353775e496067b50dcbb71be9eaa6bfcd22bd6291c4dabfe86c15bb9adaf2823"
+    )
+
+
+def test_sweep_upper_bounds_equal_separate_ub1_calls_property():
+    """The sweep's upper_bound column, bounded from the largest budget down
+    over one search, equals a separate ub1 call per budget: the same bits
+    under unit weights, within WEIGHTED_EQUALITY_TOL under weights, where a
+    budget reads the table that the separate call searches for."""
+    instances = mixed_instances(147, 30)
+    separate = functools.lru_cache(maxsize=None)(
+        lambda index, k, cap: ps.ub1(instances[index], k, cap=cap))
+
+    # Hypothesis runs inside a plain test, as in test_pipeline: a failing
+    # @given test collected by pytest would abort the whole pytest run.
+    # Budgets stop at 16: past it each separate call on the golden
+    # instance caps a search of 500,000 nodes, about 0.25 s.
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(index=st.sampled_from(range(len(instances))),
+           cap=st.sampled_from((0, 1, _SEARCH_CAP)), lo=st.integers(1, 16),
+           span=st.integers(0, 15))
+    def equal(index, cap, lo, span):
+        inst = instances[index]
+        hi = min(lo + span, inst.user_count, 16)
+        ks = list(range(min(lo, hi), hi + 1))
+        report = run_sweep(inst, ks, ["no-broadcast"], 0, cap=cap)
+        upper = [row.upper_bound for row in report.sorted_rows()]
+        want = [separate(index, k, cap) for k in ks]
+        if inst.sensing.edge_weights is None:
+            assert upper == want
+        else:
+            assert upper == pytest.approx(want, rel=0, abs=WEIGHTED_EQUALITY_TOL)
+
+    equal()
+
+
+@pytest.mark.parametrize("algorithm", STATIC_ALGORITHMS)
+def test_sweep_refuses_budgets_past_the_user_count(tiny_instance_path, capsys, algorithm):
+    # the tiny instance has 3 users: no static algorithm has a budget of 4
+    argv = ["sweep", tiny_instance_path, "--k-range", "2:4", "--algorithms", algorithm]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "input error: k range reaches 4 but instance has 3 users\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, solver", [
+    (["solve-static", "{instance}", "-k", "2"], "gus"),
+    (["solve-mobile", "{instance}", "-n", "2", "-k", "2"], "gps"),
+    (["solve-mobile", "{instance}", "-n", "2", "-k", "2", "--adjusted"], "adjusted_gps"),
+], ids=("gus", "gps", "adjusted_gps"))
+def test_solvers_start_after_the_bound_imports_scipy(tmp_path, argv, solver):
+    # the bound is computed before the algorithm's timer starts, so the
+    # first sparse build, and the scipy.sparse import it pays for, is not
+    # charged to the algorithm's wall_time_ms
+    path = str(tmp_path / "inst.json")
+    argv = [path if a == "{instance}" else a for a in argv]
+    script = f"""
+import json, sys
+import poishare.cli as cli
+
+entered = []
+real = cli.{solver}
+
+def recording(*args, **kwargs):
+    entered.append("scipy.sparse" in sys.modules)
+    return real(*args, **kwargs)
+
+cli.{solver} = recording
+assert cli.main(["gen", "--mode", "gowalla-like", "--nodes", "20", "--seed", "3",
+                 "--out", {path!r}]) == 0
+assert "scipy.sparse" not in sys.modules
+assert cli.main({argv!r}) == 0
+print(json.dumps(entered))
+"""
+    assert fresh_interpreter(script) == [True]
 
 
 @pytest.mark.parametrize("argv, message", [

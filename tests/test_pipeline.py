@@ -1,10 +1,6 @@
 import hashlib
 import io
-import json
-import os
 import random
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -15,7 +11,7 @@ import poishare as ps
 from poishare.cli import main
 from poishare import pipeline
 from poishare.pipeline import EARTH_RADIUS_KM, _condensed_haversine, _er_edges
-from util import reference_build_roads, reference_er_edges, reference_knn_edges
+from util import fresh_interpreter, reference_build_roads, reference_er_edges, reference_knn_edges
 
 
 GOOD_LINES = (
@@ -341,7 +337,7 @@ assert main(["gen", "--mode", "gowalla-like", "--nodes", "20", "--seed", "3", "-
 assert main(["solve-static", path, "-k", "3"]) == 0
 print(json.dumps([after_import, loaded()]))
 """
-    assert _fresh_interpreter(script) == [[], []]
+    assert fresh_interpreter(script) == [[], []]
 
 
 def test_only_a_sparse_build_imports_scipy(tmp_path):
@@ -366,20 +362,9 @@ assert main(["solve-static", path, "-k", "3"]) == 0
 stages["solve-static"] = [bool(loaded("scipy.sparse")), loaded("scipy.cluster", "scipy.spatial")]
 print(json.dumps(stages))
 """
-    assert _fresh_interpreter(script) == {
+    assert fresh_interpreter(script) == {
         "import": [], "gen": [], "validate": [], "solve-static": [True, []],
     }
-
-
-def _fresh_interpreter(script: str):
-    """The JSON that ``script`` prints last, run in a new interpreter on
-    this checkout's sources."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
 
 
 def _bits(values) -> np.ndarray:

@@ -6,7 +6,11 @@ clever machinery with the code they check.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -439,3 +443,14 @@ def reference_er_edges(rng, node_count: int, edge_prob: float) -> tuple[tuple[in
             if rng.random() < edge_prob:
                 out.append((i, j))
     return tuple(out)
+
+
+def fresh_interpreter(script: str):
+    """The JSON that ``script`` prints last, run in a new interpreter on
+    this checkout's sources."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
