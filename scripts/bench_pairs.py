@@ -27,10 +27,12 @@ taken while it ran, one every 0.1 s, so a request that gets near that
 interval can end a run with no probe inside it.  ``--instance-seed``
 passes the held-out instance seed on, to confirm a claim on it.
 
-``regressed`` lists the flagged metrics.  Before every run the script
-deletes the ``__pycache__`` directories inside the checkout, so both sides
-start without compiled bytecode of their own code, whatever earlier runs
-left.  (A fresh ``PYTHONPYCACHEPREFIX`` per run would do that too, but it
+``regressed`` lists the flagged metrics.  ``parent`` and ``change`` are
+the two commits; a side that is not the root of a git checkout (an
+exported tree, say) stops the script before any run.  Before every run
+the script deletes the ``__pycache__`` directories inside the checkout,
+so both sides start without compiled bytecode of their own code,
+whatever earlier runs left.  (A fresh ``PYTHONPYCACHEPREFIX`` per run would do that too, but it
 also hides the installed packages' bytecode, so every set-up would compile
 numpy and scipy.)  Only the standard library is used, so the script runs
 before either checkout's dependencies are imported.
@@ -74,12 +76,15 @@ def _host() -> dict:
     return host
 
 
-def _commit(checkout: Path) -> str | None:
-    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
-                          capture_output=True, text=True)
-    if done.returncode != 0:
-        return None
-    return done.stdout.strip()
+def _commit(checkout: Path) -> str:
+    """The short commit of ``checkout``; exits when it is not the root of a
+    git checkout, whose commit would be unknown or another repository's."""
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--show-toplevel",
+                           "--short", "HEAD"], capture_output=True, text=True)
+    lines = done.stdout.split()
+    if done.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != checkout.resolve():
+        sys.exit(f"{checkout} is not the root of a git checkout, so its commit is unknown")
+    return lines[1]
 
 
 def _clear_bytecode(checkout: Path) -> None:
@@ -187,9 +192,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commits = {side: _commit(checkout) for side, checkout in sides.items()}
     benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    report = {"claim": args.claim, "parent": _commit(sides["parent"]), "how": HOW,
-              "host": _host(), "instance_seed": args.instance_seed}
+    report = {"claim": args.claim, **commits, "how": HOW, "host": _host(),
+              "instance_seed": args.instance_seed}
     for workload, pairs in args.workloads:
         report[workload] = _pairs(workload, pairs, sides, benchmark["run_seconds"],
                                   benchmark["end_to_end"], args.instance_seed)

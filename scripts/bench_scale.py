@@ -19,10 +19,11 @@ so no side imports bytecode an earlier run left.
 
 The change, and the parent when given, run at every node count in
 ``NODES``.  Repetitions alternate which side runs first.  The file
-records every run, and per command the median wall time, the largest
-peak, and the SHA-256 of the instance each side built.  Only the
-standard library is used; it shares its host and commit records with
-``bench_pairs.py`` beside it.
+records the commit of each side (a side that is not the root of a git
+checkout stops the script before any run), every run, and per command
+the median wall time, the largest peak, and the SHA-256 of the instance
+each side built.  Only the standard library is used; it shares its host
+and commit records with ``bench_pairs.py`` beside it.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ def main(argv=None) -> int:
     if args.parent is not None:
         checkouts["parent"] = args.parent.resolve()
     report = {"parent": _commit(checkouts["parent"]) if "parent" in checkouts else None,
-              "host": _host(), "repeats": REPEATS, "seed": SEED, "nodes": {}}
+              "change": _commit(checkouts["change"]), "host": _host(), "repeats": REPEATS,
+              "seed": SEED, "nodes": {}}
     with tempfile.TemporaryDirectory(prefix="bench_scale_") as work:
         for nodes in NODES:
             report["nodes"][str(nodes)] = _measure(nodes, checkouts, Path(work))

@@ -23,6 +23,7 @@ from .errors import CrosscheckError, InfeasibleError, InputError, PoiShareError
 from .model import Instance, Selection, validate
 from .pipeline import BoundingBox, GenSpec, ingest_instance, parse_checkins, synth_instance
 from .static_solver import (
+    SEARCH_CAP,
     CoverageSearch,
     greedy_user_trace,
     gus,
@@ -37,7 +38,6 @@ CSV_HEADER = "k,algorithm,welfare,upper_bound,ratio,bound,wall_time_ms,seed"
 
 STATIC_ALGORITHMS = ("gus", "set-cover-baseline", "no-broadcast", "bound")
 MOBILE_ALGORITHMS = ("gps", "adjusted-gps")
-_SEARCH_CAP = 500_000  # search-node limit of the exact max coverage behind ub1/ub2
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,6 @@ def _parse_k_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _search_cap(args) -> int:
-    """``--cap``, refused when negative."""
-    if args.cap < 0:
-        raise InputError(f"--cap must be >= 0, got {args.cap}")
-    return args.cap
-
-
 # ---------------------------------------------------------------------------
 # Sweep machinery
 # ---------------------------------------------------------------------------
@@ -127,7 +120,7 @@ def run_sweep(
     seed: int,
     n: int = 2,
     g: int = 1,
-    cap: int = _SEARCH_CAP,
+    cap: int = SEARCH_CAP,
 ) -> EvalReport:
     """One report row per (k, algorithm).
 
@@ -140,12 +133,10 @@ def run_sweep(
     deterministic solvers; it is recorded in every row for provenance.
     Upper bounds are computed once per k, from one base welfare and one
     ``CoverageSearch`` per bound shared by every budget: over the users
-    for ``ub1``, over every node for ``ub2``.  The budgets are bounded
-    from the largest down, so if the largest one's search caps, it builds
-    the search's one coverage table and every smaller budget reads it
-    without searching.  The mobile algorithms share one walk enumeration.
-    Both happen before any algorithm's timer starts, so ``wall_time_ms``
-    is the algorithm's own time.
+    for ``ub1``, over every node for ``ub2``, bounded from the largest
+    budget down (see ``CoverageSearch``).  The mobile algorithms share one
+    walk enumeration.  Both happen before any algorithm's timer starts, so
+    ``wall_time_ms`` is the algorithm's own time.
     """
     m = instance.user_count
     k_max = max(ks)
@@ -161,7 +152,7 @@ def run_sweep(
         if algorithm in STATIC_ALGORITHMS and k_max > m:
             raise InputError(f"k range reaches {k_max} but instance has {m} users")
     base_welfare = phi_empty(instance).average
-    descending = sorted(ks, reverse=True)  # a capped largest budget spares every other search
+    descending = sorted(ks, reverse=True)
     static_upper = {}
     if {"gus", "set-cover-baseline", "no-broadcast"} & set(algorithms):
         search = CoverageSearch(instance)
@@ -169,7 +160,7 @@ def run_sweep(
                         for k in descending}
     mobile_upper = {}
     if {"gps", "adjusted-gps"} & set(algorithms):
-        node_search = CoverageSearch(instance, range(instance.node_count))
+        node_search = CoverageSearch(instance, instance.node_count)
         mobile_upper = {k: ub2(instance, n, k, cap=cap, base=base_welfare, search=node_search)
                         for k in descending}
         space = enumerate_walks(instance, n)
@@ -240,9 +231,8 @@ def _print_result(args, algorithm: str, welfare: float, upper: float, bound: flo
 
 
 def _cmd_solve_static(args) -> int:
-    cap = _search_cap(args)
     instance = instance_io.load_instance(args.instance)
-    upper = ub1(instance, args.k, cap=cap)
+    upper = ub1(instance, args.k)
     t0 = time.monotonic()
     result = gus(instance, args.k, route=args.route)
     elapsed_ms = (time.monotonic() - t0) * 1000.0
@@ -257,9 +247,8 @@ def _cmd_solve_static(args) -> int:
 
 
 def _cmd_solve_mobile(args) -> int:
-    cap = _search_cap(args)
     instance = instance_io.load_instance(args.instance)
-    upper = ub2(instance, args.n, args.k, cap=cap)
+    upper = ub2(instance, args.n, args.k)
     t0 = time.monotonic()
     if args.adjusted:
         result = adjusted_gps(instance, args.n, args.k, route=args.route)
@@ -279,11 +268,10 @@ def _cmd_solve_mobile(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cap = _search_cap(args)
     ks = _parse_k_range(args.k_range)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     instance = instance_io.load_instance(args.instance)
-    report = run_sweep(instance, ks, algorithms, args.seed, n=args.n, g=args.g, cap=cap)
+    report = run_sweep(instance, ks, algorithms, args.seed, n=args.n, g=args.g)
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return 0
 
@@ -364,14 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_report_options(p):
         p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=_SEARCH_CAP,
-            help="search-node limit of the exact max-coverage search behind ub1/ub2; "
-            "past it the bound is read from a table built by bucket elimination: exact, "
-            "unless the table would be too large, and then relaxed but still valid",
-        )
 
     p = sub.add_parser("solve-static", help="greedy user selection")
     p.add_argument("instance")

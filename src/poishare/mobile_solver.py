@@ -20,11 +20,10 @@ from .errors import InfeasibleError, InputError
 from .model import Instance, Selection, SensingGraph, Walk, WalkSet, zero_one_matrix
 from .static_solver import (
     DEFAULT_ENUMERATION_CAP,
+    SEARCH_CAP,
     CoverageSearch,
-    coverage_upper_bound,
-    phi_empty,
     static_bound,
-    welfare_ceiling,
+    welfare_bound,
 )
 from .welfare import (
     CoverageState,
@@ -411,37 +410,21 @@ def ub2(
     instance: Instance,
     n: int,
     k: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    cap: int = SEARCH_CAP,
     base: float | None = None,
     *,
     search: CoverageSearch | None = None,
 ) -> float:
-    """Upper bound on the mobile optimum: base welfare plus the best
-    coverage reachable by k*(n+1) sensing nodes (any nodes, not just
-    users), capped at ``welfare_ceiling``.
+    """Upper bound on the mobile optimum: ``welfare_bound`` of k*(n+1)
+    sensing nodes, any nodes, not just users.
 
     k walks of n edges visit at most k*(n+1) distinct nodes, so this
     dominates every feasible solution; a budget of n*k nodes does not,
-    and small instances exist where it undercuts the true optimum.  The
-    coverage is ``coverage_upper_bound``'s: exact unless the node pool is
-    too large for its table.  ``base`` is ``phi_empty(instance).average``,
-    computed here when not given; ``search`` is a ``CoverageSearch`` over
-    every node, built here when not given.  A caller bounding many
-    budgets passes both once and asks for the largest budget first, so if
-    its search caps, it builds one table that every smaller budget reads
-    without searching.
+    and small instances exist where it undercuts the true optimum.
     """
     if n < 1:
         raise InputError(f"walk length n must be >= 1, got {n}")
-    if base is None:
-        base = phi_empty(instance).average
-    if k <= 0:
-        return base
-    budget = min(k * (n + 1), instance.node_count)
-    if search is None:
-        search = CoverageSearch(instance, range(instance.node_count))
-    coverage = coverage_upper_bound(instance, budget, cap=cap, search=search)
-    return min(welfare_ceiling(instance), base + coverage)
+    return welfare_bound(instance, k * (n + 1), instance.node_count, cap, base, search)
 
 
 def mobile_bound(k: int, varpi: int, g: int) -> float:

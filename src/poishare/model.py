@@ -164,9 +164,6 @@ class Selection:
         if len(set(users)) != len(users):
             raise InputError(f"selection contains duplicate users: {users}")
 
-    def __len__(self) -> int:
-        return len(self.users)
-
 
 @dataclass(frozen=True)
 class Walk:
@@ -184,9 +181,6 @@ class Walk:
     @property
     def edge_count(self) -> int:
         return len(self.nodes) - 1
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 @dataclass(frozen=True)

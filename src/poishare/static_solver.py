@@ -25,6 +25,9 @@ from .welfare import (
 )
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
+#: Search nodes ``exact_max_coverage`` may visit before a bound reads the
+#: coverage table instead.
+SEARCH_CAP = 500_000
 #: Largest table ``max_vertex_coverage`` builds, in cells: the 2^(width+1)
 #: assignments of a node and its neighbours times the count axis.  2^20
 #: float64 cells are 8 MB.
@@ -127,21 +130,24 @@ def brute_force_static(
 # ---------------------------------------------------------------------------
 
 
-def greedy_max_coverage(instance: Instance, k: int, pool=None) -> tuple[tuple[int, ...], float]:
-    """Classic greedy max coverage over the incident-edge sets of ``pool``
-    (default: the user nodes): the picks in pick order, ties to the lowest
-    pool position, and the weight they cover."""
-    return CoverageSearch(instance, pool).greedy(max(k, 0))
+def greedy_max_coverage(
+    instance: Instance, k: int, nodes: int | None = None
+) -> tuple[tuple[int, ...], float]:
+    """Classic greedy max coverage over the incident-edge sets of the first
+    ``nodes`` nodes (default: the users): the picks in pick order, ties to
+    the lowest node, and the weight they cover."""
+    return CoverageSearch(instance, nodes).greedy(max(k, 0))
 
 
 class CoverageSearch:
     """Everything about max coverage over one pool that no budget changes:
     built once, it serves any number of budgets.
 
-    It holds the pool's incidence rows; the pool positions sorted by
-    falling singleton coverage, ties to the lower node; the optimistic
-    prefix sums of that order; each node's road bitmask, built on the
-    node's first visit; and the pool's one ``greedy_cover`` run, recorded
+    The pool is the first ``nodes`` nodes (default: the users).  The
+    search holds the pool's incidence rows; the nodes sorted by falling
+    singleton coverage, ties to the lower node; the optimistic prefix sums
+    of that order; each node's road bitmask, built on the node's first
+    visit; and the pool's one ``greedy_cover`` run, recorded
     round by round as larger budgets ask for it.  Greedy picks are
     prefix-stable, so the record serves every budget: the branch and
     bound's incumbent, the greedy-prefix bound of a capped search and
@@ -150,23 +156,22 @@ class CoverageSearch:
     ``build_table()`` runs ``max_vertex_coverage`` over the pool once, the
     first time ``coverage_upper_bound``'s search caps, into ``table``, the
     best coverage of every budget; ``coverage_upper_bound`` reads every
-    later budget from it.  A caller bounding many budgets asks for the
-    largest first, so that when its search caps, every budget reads the
-    table.  ``sources`` records, per budget bounded, where the
-    bound came from (see ``coverage_upper_bound``), and ``visited`` the
-    search nodes of the last search that finished.  Single owner; not
-    shareable between threads.
+    later budget from it.  A caller bounding many budgets over one search
+    asks for the largest first, so that if its search caps, it builds the
+    table and no smaller budget searches.  ``sources`` records, per budget
+    bounded, where the bound came from (see ``coverage_upper_bound``), and
+    ``visited`` the search nodes of the last search that finished.  Single
+    owner; not shareable between threads.
     """
 
-    def __init__(self, instance: Instance, pool=None):
+    def __init__(self, instance: Instance, nodes: int | None = None):
         self.instance = instance
-        self.pool = list(range(instance.user_count)) if pool is None else list(pool)
-        self.rows = instance.sensing.incidence[self.pool]
+        self.size = size = instance.user_count if nodes is None else nodes
+        self.rows = instance.sensing.incidence[:size]
         self.weights = instance.sensing.weight_vector
         self.unit = bool((self.weights == 1.0).all())
-        size = len(self.pool)
         solo = (self.rows @ self.weights).tolist()
-        self.order = sorted(range(size), key=lambda i: (-solo[i], self.pool[i]))
+        self.order = sorted(range(size), key=lambda i: (-solo[i], i))
         # optimistic[p + s] - optimistic[p]: the s largest singletons from position p on
         self.optimistic = list(accumulate((solo[i] for i in self.order), initial=0.0))
         self.optimistic += self.optimistic[-1:] * size
@@ -183,29 +188,29 @@ class CoverageSearch:
 
     def rounds(self, count: int) -> list[tuple[int, float, np.ndarray]]:
         """The first ``count`` greedy rounds, fewer once the pool is used
-        up: each round's pick (a pool index), the weight that the picks so
-        far cover, ``weights[covered].sum()``, and the round's scores."""
+        up: each round's pick, the weight that the picks so far cover,
+        ``weights[covered].sum()``, and the round's scores."""
         for pick, scores in islice(self._steps, max(count - len(self._rounds), 0)):
             self._covered[self.indices[self.indptr[pick] : self.indptr[pick + 1]]] = True
             self._rounds.append((pick, float(self.weights[self._covered].sum()), scores))
         return self._rounds[:count]
 
     def greedy(self, k: int) -> tuple[tuple[int, ...], float]:
-        """The pool nodes of the first k greedy picks, in pick order, and
-        the weight they cover."""
+        """The first k greedy picks, in pick order, and the weight they
+        cover."""
         steps = self.rounds(k)
-        return tuple(self.pool[i] for i, _, _ in steps), steps[-1][1] if steps else 0.0
+        return tuple(i for i, _, _ in steps), steps[-1][1] if steps else 0.0
 
     def build_table(self) -> None:
         """Run ``max_vertex_coverage`` over the pool into ``table``: the best
-        coverage of each budget 0..len(pool), and the width.  ``table``
+        coverage of each budget 0..size, and the width.  ``table``
         stays None when the guards refuse the pool; that is not
         retried."""
         if self.table is None and not self._refused:
             try:
-                values, width = max_vertex_coverage(self.instance, self.pool)
+                values, width = max_vertex_coverage(self.instance, self.size)
             except InfeasibleError as refusal:
-                log.debug("no coverage table for a pool of %d: %s", len(self.pool), refusal)
+                log.debug("no coverage table for a pool of %d: %s", self.size, refusal)
                 self._refused = True
             else:
                 self.table = values.tolist(), width
@@ -215,15 +220,14 @@ class CoverageSearch:
         ``work`` (search nodes, width or greedy rounds), and return it."""
         self.sources[k] = (source, work)
         log.debug("coverage bound k=%d over a pool of %d: %r from %s (%d)",
-                  k, len(self.pool), value, source, work)
+                  k, self.size, value, source, work)
         return value
 
 
 def exact_max_coverage(
     instance: Instance,
     k: int,
-    pool=None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    cap: int = SEARCH_CAP,
     *,
     search: CoverageSearch | None = None,
 ) -> tuple[tuple[int, ...], float]:
@@ -245,27 +249,27 @@ def exact_max_coverage(
     depth is not limited by the recursion limit.  Returns the sorted picks
     of the first best cover found, and its value.
 
-    The order, the prefix sums, the masks and the greedy incumbent come
-    from ``search``, a ``CoverageSearch(instance, pool)`` that a caller
-    searching several budgets builds once and passes to each (``pool`` is
-    then not read); without one, the call builds its own.
+    The pool, the order, the prefix sums, the masks and the greedy
+    incumbent come from ``search``, a ``CoverageSearch`` that a caller
+    searching several budgets builds once and passes to each; without one,
+    the call searches the users with a ``CoverageSearch(instance)`` of its
+    own.
 
     Raises InfeasibleError when the search would exceed ``cap`` nodes;
     otherwise sets ``search.visited`` to the search nodes visited.
     """
     if search is None:
-        search = CoverageSearch(instance, pool)
-    pool, order, optimistic, roads = search.pool, search.order, search.optimistic, search.roads
+        search = CoverageSearch(instance)
+    size, order, optimistic, roads = search.size, search.order, search.optimistic, search.roads
     indptr, indices, road_weights = search.indptr, search.indices, search.road_weights
     unit = search.unit
-    size = len(pool)
     k = min(k, size)
     if k == 0:
         return (), 0.0
 
     best_pick, best_value = search.greedy(k)
     best_pick = tuple(sorted(best_pick))
-    chosen = [0] * k  # chosen[:depth]: the pool indices taken on the path
+    chosen = [0] * k  # chosen[:depth]: the nodes taken on the path
     stack = [(0, 0, 0, 0.0)]  # (position, picks taken, covered bitset, value)
     visited = 0
     while stack:
@@ -279,7 +283,7 @@ def exact_max_coverage(
                 )
             if value > best_value:
                 best_value = value
-                best_pick = tuple(sorted(pool[i] for i in chosen[:depth]))
+                best_pick = tuple(sorted(chosen[:depth]))
             if depth == k or pos == size:
                 break
             if value + (optimistic[pos + k - depth] - optimistic[pos]) <= best_value:
@@ -304,7 +308,7 @@ def exact_max_coverage(
     return best_pick, best_value
 
 
-def _elimination_plan(pool: list[int], shared: dict[int, dict[int, float]]):
+def _elimination_plan(pool: range, shared: dict[int, dict[int, float]]):
     """The min-degree elimination order of the graph of roads between pool
     nodes, ties to the lower node, worked out without building a table.
 
@@ -377,9 +381,10 @@ def _max_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_vertex_coverage(instance: Instance, pool=None) -> tuple[np.ndarray, int]:
-    """Exact max coverage over ``pool`` (default: the user nodes) for every
-    budget at once, by max-plus bucket elimination (Dechter 1999).
+def max_vertex_coverage(instance: Instance, nodes: int | None = None) -> tuple[np.ndarray, int]:
+    """Exact max coverage over the first ``nodes`` nodes (default: the
+    users) for every budget at once, by max-plus bucket elimination
+    (Dechter 1999).
 
     Each pool node is a 0/1 variable.  A road with one pool endpoint, or a
     pool node's self-loop, adds its weight when that node is taken; a road
@@ -391,7 +396,7 @@ def max_vertex_coverage(instance: Instance, pool=None) -> tuple[np.ndarray, int]
     it plus one: entry c is the best value with c of them taken, and
     tables combine by a max-plus convolution along it.  The tables left
     holding no node convolve into ``values``, where ``values[c]`` is the
-    best coverage by at most c pool nodes, c = 0..len(pool).  Max
+    best coverage by at most c pool nodes, c = 0..nodes.  Max
     k-vertex coverage is fixed-parameter tractable in the treewidth (Guo,
     Niedermeier & Wernicke 2007).  Under unit weights every value is an
     integer, so it equals ``exact_max_coverage``'s bit for bit.
@@ -401,17 +406,15 @@ def max_vertex_coverage(instance: Instance, pool=None) -> tuple[np.ndarray, int]
     any table, when one would exceed ``DP_MAX_CELLS`` or all of them would
     take more than ``DP_MAX_WORK`` cell updates.
     """
-    pool = list(range(instance.user_count)) if pool is None else list(pool)
+    pool = range(instance.user_count if nodes is None else nodes)
     own = dict.fromkeys(pool, 0.0)  # weight a node covers whichever others are taken
     shared: dict[int, dict[int, float]] = {v: {} for v in pool}  # roads to other pool nodes
     for (u, v), w in zip(instance.sensing.edges, instance.sensing.weight_vector.tolist()):
-        if u != v and u in own and v in own:
+        if u != v and v in own:  # u <= v: roads are stored as (min, max)
             shared[u][v] = shared[u].get(v, 0.0) + w
             shared[v][u] = shared[v].get(u, 0.0) + w
         elif u in own:
             own[u] += w
-        elif v in own:
-            own[v] += w
     steps, width = _elimination_plan(pool, shared)
 
     tables: list[np.ndarray | None] = []
@@ -454,7 +457,7 @@ def _greedy_prefix_coverage_bound(search: CoverageSearch, k: int) -> float:
     S_0, S_1, ..., the optimum is at most cov(S_t) plus the k largest
     single-node marginals at S_t; take the best t, reading S_t and its
     marginals from ``search``'s greedy record."""
-    count = min(k, len(search.pool)) + 1
+    count = min(k, search.size) + 1
     rounds = search.rounds(count)
     best_bound = float("inf")
     value = 0.0
@@ -470,8 +473,7 @@ def _greedy_prefix_coverage_bound(search: CoverageSearch, k: int) -> float:
 def coverage_upper_bound(
     instance: Instance,
     k: int,
-    pool=None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    cap: int = SEARCH_CAP,
     *,
     search: CoverageSearch | None = None,
 ) -> float:
@@ -482,9 +484,7 @@ def coverage_upper_bound(
     branch and bound: source ``exact-search``, with the search nodes it
     visited.  The first search to exceed ``cap`` nodes builds
     ``search.table``, and that budget and every later one read their
-    value from it without searching: ``exact-dp``, with the width.  A
-    caller bounding many budgets over one search asks for the largest
-    first, so that when its search caps, no smaller budget searches.  When
+    value from it without searching: ``exact-dp``, with the width.  When
     the guards refuse the table, a capped budget gets the smaller of two
     valid relaxations: ``greedy-prefix``, with the greedy rounds
     read.  They are the greedy-prefix submodularity bound and the total
@@ -499,10 +499,10 @@ def coverage_upper_bound(
     if k <= 0:
         return 0.0
     if search is None:
-        search = CoverageSearch(instance, pool)
+        search = CoverageSearch(instance)
     if search.table is None:
         try:
-            value = exact_max_coverage(instance, k, pool, cap=cap, search=search)[1]
+            value = exact_max_coverage(instance, k, cap=cap, search=search)[1]
         except InfeasibleError:
             search.build_table()
         else:
@@ -511,7 +511,7 @@ def coverage_upper_bound(
         values, width = search.table
         return search.record(k, values[min(k, len(values) - 1)], "exact-dp", width)
     total = float(instance.sensing.weight_vector.sum())
-    rounds = min(k, len(search.pool)) + 1
+    rounds = min(k, search.size) + 1
     return search.record(k, min(total, _greedy_prefix_coverage_bound(search, k)),
                          "greedy-prefix", rounds)
 
@@ -538,31 +538,43 @@ def welfare_ceiling(instance: Instance) -> float:
     ).average
 
 
+def welfare_bound(
+    instance: Instance,
+    budget: int,
+    nodes: int,
+    cap: int,
+    base: float | None,
+    search: CoverageSearch | None,
+) -> float:
+    """Base welfare plus the best coverage by ``budget`` of the first
+    ``nodes`` nodes (``coverage_upper_bound``: exact unless the pool is
+    too large for its table), capped at ``welfare_ceiling``.
+
+    ``base`` is ``phi_empty(instance).average``, computed here when None;
+    ``search`` is a ``CoverageSearch(instance, nodes)``, built here when
+    None.  A caller bounding many budgets passes both once (see
+    ``CoverageSearch`` for the order of budgets).
+    """
+    if base is None:
+        base = phi_empty(instance).average
+    if budget <= 0:
+        return base
+    if search is None:
+        search = CoverageSearch(instance, nodes)
+    coverage = coverage_upper_bound(instance, min(budget, nodes), cap=cap, search=search)
+    return min(welfare_ceiling(instance), base + coverage)
+
+
 def ub1(
     instance: Instance,
     k: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    cap: int = SEARCH_CAP,
     base: float | None = None,
     *,
     search: CoverageSearch | None = None,
 ) -> float:
-    """Upper bound on the static optimum: base welfare plus the best
-    k-user coverage (``coverage_upper_bound``: exact unless the user pool
-    is too large for its table), capped at ``welfare_ceiling``.
-
-    ``base`` is ``phi_empty(instance).average``, computed here when not
-    given; ``search`` is a ``CoverageSearch(instance)``, built here when
-    not given.  A caller bounding many budgets passes both once and asks
-    for the largest budget first, so if its search caps, it builds one
-    table that every smaller budget reads without searching.
-    """
-    if base is None:
-        base = phi_empty(instance).average
-    if k <= 0:
-        return base
-    k = min(k, instance.user_count)
-    coverage = coverage_upper_bound(instance, k, cap=cap, search=search)
-    return min(welfare_ceiling(instance), base + coverage)
+    """Upper bound on the static optimum: ``welfare_bound`` of k users."""
+    return welfare_bound(instance, k, instance.user_count, cap, base, search)
 
 
 def static_bound(k: int, m: int) -> float:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import poishare as ps
-from poishare.cli import _SEARCH_CAP, CSV_HEADER, STATIC_ALGORITHMS, main, run_sweep
+from poishare.cli import CSV_HEADER, STATIC_ALGORITHMS, main, run_sweep
+from poishare.static_solver import SEARCH_CAP
 from poishare.welfare import WEIGHTED_EQUALITY_TOL
 from util import fresh_interpreter, golden_instance, mixed_instances
 
@@ -238,7 +239,7 @@ def test_sweep_computes_the_base_welfare_once(tiny_instance_path, capsys, monkey
         calls.append(instance)
         return real_phi_empty(instance)
 
-    for module in (ps.cli, ps.static_solver, ps.mobile_solver):
+    for module in (ps.cli, ps.static_solver):
         monkeypatch.setattr(module, "phi_empty", counted_phi_empty)
     argv = ["sweep", tiny_instance_path, "--k-range", "1:3", "--algorithms",
             "gus,no-broadcast,gps", "--format", "json"]
@@ -311,12 +312,13 @@ def test_sweep_gus_welfares_equal_a_replay_of_the_gus_trace():
 
 
 @pytest.mark.parametrize("argv", [
-    ("sweep", "--k-range", "1:12", "--cap", "20000"),
-    ("solve-static", "-k", "12", "--cap", "20000"),
+    ("sweep", "--k-range", "1:14"),
+    ("solve-static", "-k", "14"),
 ])
 def test_each_request_runs_one_greedy_cover_per_pool(tmp_path, monkeypatch, capsys, argv):
-    # the incumbents, the relaxed bound of the capped budget 12 and the
-    # coverage baseline all read one recorded greedy run over the users
+    # the incumbents of the searches and the coverage baseline all read one
+    # recorded greedy run over the users; budget 14's search caps at
+    # SEARCH_CAP, so its bound comes from the coverage table
     path = tmp_path / "golden.json"
     ps.save_instance(golden_instance(), path)
     real_cover = ps.static_solver.greedy_cover
@@ -339,7 +341,7 @@ def test_each_request_runs_one_greedy_cover_per_pool(tmp_path, monkeypatch, caps
     assert main([argv[0], str(path), *argv[1:]]) == 0
     assert capsys.readouterr().out
     assert len(runs) == 1
-    assert capped == [12]
+    assert capped == [14]
 
 
 def test_mobile_sweep_rows_equal_separate_calls_over_one_walk_enumeration(monkeypatch):
@@ -469,9 +471,9 @@ def _record_searches(monkeypatch) -> list[tuple[int, int, bool]]:
         try:
             found = real_search(instance, k, *args, search=search, **kwargs)
         except ps.InfeasibleError:
-            calls.append((len(search.pool), k, True))
+            calls.append((search.size, k, True))
             raise
-        calls.append((len(search.pool), k, False))
+        calls.append((search.size, k, False))
         return found
 
     monkeypatch.setattr(ps.static_solver, "exact_max_coverage", recording)
@@ -483,29 +485,27 @@ def _record_coverage_searches(monkeypatch) -> list:
     real_init = ps.static_solver.CoverageSearch.__init__
     searches = []
 
-    def counted_init(self, instance, pool=None):
-        real_init(self, instance, pool)
+    def counted_init(self, instance, nodes=None):
+        real_init(self, instance, nodes)
         searches.append(self)
 
     monkeypatch.setattr(ps.static_solver.CoverageSearch, "__init__", counted_init)
     return searches
 
 
-@pytest.mark.parametrize("cap", ["20000", "0"])
-def test_mobile_sweep_bounds_share_one_node_search(tmp_path, monkeypatch, capsys, cap):
+@pytest.mark.parametrize("cap", [20_000, 0])
+def test_mobile_sweep_bounds_share_one_node_search(monkeypatch, cap):
     # every budget's ub2 reads one CoverageSearch over all 40 nodes.  The
     # largest budget, 30 nodes, is searched first and caps at either cap,
     # so it builds the coverage table and every smaller budget reads it.
     # The CSV, without wall_time_ms, is the same at both caps (every bound
     # is exact, capped at the ceiling of 98 roads).
-    path = tmp_path / "golden.json"
-    ps.save_instance(golden_instance(), path)
     searches = _record_coverage_searches(monkeypatch)
     calls = _record_searches(monkeypatch)
-    assert main(["sweep", str(path), "--k-range", "1:10", "--algorithms", "gps,adjusted-gps",
-                 "-n", "2", "-g", "2", "--cap", cap]) == 0
-    out = capsys.readouterr().out
-    assert [len(search.pool) for search in searches] == [40]
+    report = run_sweep(golden_instance(), list(range(1, 11)), ["gps", "adjusted-gps"], 0,
+                       n=2, g=2, cap=cap)
+    out = report.to_csv()
+    assert [search.size for search in searches] == [40]
     assert calls == [(40, 30, True)]
     assert searches[0].sources == {budget: ("exact-dp", 5) for budget in range(3, 31, 3)}
     assert hashlib.sha256(_strip_wall_time(out).encode()).hexdigest() == (
@@ -526,7 +526,7 @@ def test_paper_sweep_reads_every_bound_from_one_capped_search(tmp_path, monkeypa
     calls = _record_searches(monkeypatch)
     assert main(["sweep", str(path), "--k-range", "1:30"]) == 0
     out = capsys.readouterr().out
-    assert [len(search.pool) for search in searches] == [92]
+    assert [search.size for search in searches] == [92]
     assert calls == [(92, 30, True)]
     assert searches[0].sources == {budget: ("exact-dp", 7) for budget in range(1, 31)}
     assert hashlib.sha256(_strip_wall_time(out).encode()).hexdigest() == (
@@ -549,7 +549,7 @@ def test_sweep_upper_bounds_equal_separate_ub1_calls_property():
     # instance caps a search of 500,000 nodes, about 0.25 s.
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(index=st.sampled_from(range(len(instances))),
-           cap=st.sampled_from((0, 1, _SEARCH_CAP)), lo=st.integers(1, 16),
+           cap=st.sampled_from((0, 1, SEARCH_CAP)), lo=st.integers(1, 16),
            span=st.integers(0, 15))
     def equal(index, cap, lo, span):
         inst = instances[index]
@@ -613,9 +613,6 @@ print(json.dumps(entered))
     (("sweep", "--k-range", "1:2", "--algorithms", "gus,gus"), "'gus' named more than once"),
     (("sweep", "--k-range", "1:2", "--algorithms", "bound, gps ,gps"),
      "'gps' named more than once"),
-    (("sweep", "--k-range", "1:2", "--cap", "-1"), "--cap must be >= 0, got -1"),
-    (("solve-static", "-k", "1", "--cap", "-1"), "--cap must be >= 0, got -1"),
-    (("solve-mobile", "-n", "1", "-k", "1", "--cap", "-1"), "--cap must be >= 0, got -1"),
 ])
 def test_empty_or_repeated_algorithms_and_negative_caps_are_input_errors(
     tiny_instance_path, capsys, argv, message
@@ -624,13 +621,3 @@ def test_empty_or_repeated_algorithms_and_negative_caps_are_input_errors(
     captured = capsys.readouterr()
     assert captured.err.startswith("input error: ") and message in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
-
-
-@pytest.mark.parametrize("argv", [
-    ("sweep", "--k-range", "1:2", "--cap", "0"),
-    ("solve-static", "-k", "1", "--cap", "0"),
-    ("solve-mobile", "-n", "1", "-k", "1", "--cap", "0"),
-])
-def test_a_zero_cap_is_accepted(tiny_instance_path, capsys, argv):
-    assert main([argv[0], tiny_instance_path, *argv[1:]]) == 0
-    assert capsys.readouterr().out.startswith(CSV_HEADER)

@@ -2,11 +2,8 @@
 
 Each file in ``tests/golden/`` is the stdout of one request with the
 ``wall_time_ms`` values removed; a rewrite of the solvers must reproduce
-them byte for byte.  ``--cap 20000`` stops ``ub1``'s search at budget 12
-and every ``ub2`` search, so those bounds come from the coverage table.
-From budget 3 on, every bound is the ceiling of broadcasting all 98
-roads, which the table's values exceed; ``test_static_solver`` checks
-the table itself.
+them byte for byte.  From budget 3 on, every bound is the ceiling of
+broadcasting all 98 roads.
 
 Regenerate after an intended output change with
 
@@ -65,7 +62,7 @@ def _run(argv) -> str:
 def outputs(instance_path: Path) -> dict[str, str]:
     instance_path.write_text(_run(INSTANCE_ARGV), encoding="utf-8")
     return {
-        name: strip_wall_time(_run((argv[0], str(instance_path)) + argv[1:] + ("--cap", "20000")))
+        name: strip_wall_time(_run((argv[0], str(instance_path)) + argv[1:]))
         for name, argv in REQUESTS.items()
     }
 

@@ -90,6 +90,12 @@ def test_gps_argument_checks():
         ps.gps(inst, 1, 99, g=99)
 
 
+def test_gps_refuses_a_walk_space_of_another_length():
+    inst = path3()
+    with pytest.raises(ps.InputError, match="walk space has n=2, requested n=3"):
+        ps.gps(inst, 3, 2, 1, space=ps.enumerate_walks(inst, 2))
+
+
 def test_gps_respects_start_cap():
     # star: all best walks start at the center; g=1 forces variety
     edges = tuple((0, i) for i in range(1, 5))
@@ -239,6 +245,27 @@ def test_brute_force_mobile_cap_refusal():
     inst = random_all_user_instance(rng, max_nodes=6, min_nodes=6, edge_prob=0.9)
     with pytest.raises(ps.InfeasibleError, match="cap"):
         ps.brute_force_mobile(inst, 2, 3, g=1, cap=5)
+
+
+@pytest.mark.parametrize("edges, ceiling", [(((0, 1), (0, 2)), 2.0),
+                                            (((0, 0), (0, 1), (0, 2)), 3.0)])
+def test_brute_force_mobile_tops_up_past_the_maximal_visited_sets(edges, ceiling):
+    # a star on roads (0,1) and (0,2): the maximal visited sets of 2-edge
+    # walks are {0,1} and {0,2} from the centre and {0,1,2} from each leaf,
+    # four in all, so a budget of 5 walks is topped up from the candidates.
+    # With a self-loop at the centre, the centre's first unused candidate
+    # comes when it already starts 2 walks, so the top-up must skip it.
+    inst = ps.Instance(
+        sensing=ps.SensingGraph(node_count=3, user_count=3, edges=edges),
+        social=ps.SocialGraph(user_count=3, edges=()),
+    )
+    result = ps.brute_force_mobile(inst, 2, 5, g=2)
+    walks = result.walks.walks
+    assert len(walks) == 5 and len(set(walks)) == 5
+    assert all(walk.edge_count == 2 for walk in walks)
+    assert max([walk.start for walk in walks].count(start) for start in range(3)) <= 2
+    assert result.welfare.average == ps.static_solver.welfare_ceiling(inst) == ceiling
+    assert result.welfare.average == ps.phi_walks(inst, result.walks).average
 
 
 def test_visited_node_sufficiency():

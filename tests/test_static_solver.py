@@ -1,4 +1,3 @@
-import functools
 import logging
 import math
 import random
@@ -10,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import poishare as ps
 from poishare.static_solver import (
+    SEARCH_CAP,
     CoverageSearch,
     _greedy_prefix_coverage_bound,
     coverage_upper_bound,
@@ -174,9 +174,14 @@ def test_exact_coverage_cap_refusal():
         exact_max_coverage(inst, 4, cap=3)
 
 
-def _search_outcome(search, inst, k, pool, cap):
+def _searched(inst, k, nodes, cap):
+    """exact_max_coverage over the first ``nodes`` nodes (default: the users)."""
+    return exact_max_coverage(inst, k, cap, search=CoverageSearch(inst, nodes))
+
+
+def _search_outcome(search, inst, k, nodes, cap):
     try:
-        return search(inst, k, pool, cap=cap)
+        return search(inst, k, nodes, cap=cap)
     except ps.InfeasibleError:
         return "capped"
 
@@ -201,11 +206,11 @@ def test_exact_coverage_matches_the_recursive_reference():
             edge_prob=rng.choice((0.3, 0.6, 0.9)), with_weights=weighted,
             with_loops=rng.random() < 0.3, with_prefs=rng.random() < 0.3,
         )
-        for pool in (range(inst.user_count), range(inst.node_count)):
-            for k in range(1, len(pool) + 1):
+        for nodes in (inst.user_count, inst.node_count):
+            for k in range(1, nodes + 1):
                 for cap in (3, 30, ps.static_solver.DEFAULT_ENUMERATION_CAP):
-                    got = _search_outcome(exact_max_coverage, inst, k, pool, cap)
-                    want = _search_outcome(reference_exact_max_coverage, inst, k, pool, cap)
+                    got = _search_outcome(_searched, inst, k, nodes, cap)
+                    want = _search_outcome(reference_exact_max_coverage, inst, k, nodes, cap)
                     if not weighted or "capped" in (got, want):
                         assert got == want, (k, cap)
                     else:
@@ -216,7 +221,7 @@ def test_exact_coverage_matches_the_recursive_reference():
 def test_exact_coverage_matches_the_reference_on_the_golden_instance():
     inst = ps.synth_instance(ps.GenSpec(mode="gowalla-like", node_count=40, seed=7))
     for k in range(1, 13):
-        got = _search_outcome(exact_max_coverage, inst, k, None, 20_000)
+        got = _search_outcome(_searched, inst, k, None, 20_000)
         assert got == _search_outcome(reference_exact_max_coverage, inst, k, None, 20_000), k
 
 
@@ -242,14 +247,17 @@ def test_a_shared_search_set_up_changes_no_search():
     that builds its own set-up."""
     rng = random.Random(142)
     for inst in mixed_instances(142, 40):
-        for pool in (range(inst.user_count), range(inst.node_count)):
-            ks = rng.sample(range(1, len(pool) + 1), len(pool))
+        for nodes in (inst.user_count, inst.node_count):
+            ks = rng.sample(range(1, nodes + 1), nodes)
             for cap in (3, 30, 2_000):
-                search = CoverageSearch(inst, pool)
-                shared = functools.partial(exact_max_coverage, search=search)
+                search = CoverageSearch(inst, nodes)
+
+                def shared(inst, k, nodes, cap):
+                    return exact_max_coverage(inst, k, cap, search=search)
+
                 for k in ks:
-                    want = _search_outcome(exact_max_coverage, inst, k, pool, cap)
-                    assert _search_outcome(shared, inst, k, pool, cap) == want, (k, cap)
+                    want = _search_outcome(_searched, inst, k, nodes, cap)
+                    assert _search_outcome(shared, inst, k, nodes, cap) == want, (k, cap)
 
 
 def test_ub1_from_a_shared_search_equals_separate_calls(monkeypatch):
@@ -328,19 +336,19 @@ def test_relaxed_bound_from_a_recorded_greedy_keeps_its_bits(monkeypatch):
     for inst in mixed_instances(144, 40):
         weights = inst.sensing.weight_vector
         total = float(weights.sum())
-        for pool in (list(range(inst.user_count)), list(range(inst.node_count))):
-            search = CoverageSearch(inst, pool)
-            assert len(search.rounds(len(pool) + 1)) == len(pool)
-            rows = inst.sensing.incidence[pool]
-            for k in rng.sample(range(1, len(pool) + 2), len(pool) + 1):
+        for nodes in (inst.user_count, inst.node_count):
+            search = CoverageSearch(inst, nodes)
+            assert len(search.rounds(nodes + 1)) == nodes
+            rows = inst.sensing.incidence[:nodes]
+            for k in rng.sample(range(1, nodes + 2), nodes + 1):
                 prefix = _fresh_prefix_bound(rows, weights, k)
                 assert _greedy_prefix_coverage_bound(search, k) == prefix, k
-                got = coverage_upper_bound(inst, k, pool, cap=1, search=search)
-                exact = _search_outcome(exact_max_coverage, inst, k, pool, 1)
+                got = coverage_upper_bound(inst, k, cap=1, search=search)
+                exact = _search_outcome(_searched, inst, k, nodes, 1)
                 if exact == "capped":
                     capped += 1
                     assert got == min(total, prefix), k
-                    assert search.sources[k] == ("greedy-prefix", min(k, len(pool)) + 1), k
+                    assert search.sources[k] == ("greedy-prefix", min(k, nodes) + 1), k
                 else:
                     assert got == exact[1], k
             assert search.table is None
@@ -403,16 +411,17 @@ def test_relaxed_bounds_dominate_the_optima_property():
             assert ps.ub1(instance, min(k, m), cap=1) <= ceiling
             assert ps.ub2(instance, n, k, cap=1) <= ceiling
         weights = instance.sensing.weight_vector
-        for pool in (list(range(m)), list(range(instance.node_count))):
-            solo = sorted((instance.sensing.incidence[pool] @ weights).tolist(), reverse=True)
-            for k in range(1, len(pool) + 1):
+        for nodes in (m, instance.node_count):
+            solo = sorted((instance.sensing.incidence[:nodes] @ weights).tolist(), reverse=True)
+            for k in range(1, nodes + 1):
                 try:
-                    exact_max_coverage(instance, k, pool, cap=1)
+                    _searched(instance, k, nodes, cap=1)
                     continue  # the search finished: the bound is exact
                 except ps.InfeasibleError:
                     pass
-                bound = coverage_upper_bound(instance, k, pool, cap=1)
-                _, greedy = greedy_max_coverage(instance, k, pool)
+                search = CoverageSearch(instance, nodes)
+                bound = coverage_upper_bound(instance, k, cap=1, search=search)
+                _, greedy = greedy_max_coverage(instance, k, nodes)
                 assert bound <= greedy / (1.0 - 1.0 / math.e)
                 assert bound <= sum(solo[:k])
 
@@ -429,13 +438,13 @@ def test_coverage_table_equals_the_searches_property():
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(instance=_tiny_instances())
     def equal(instance):
-        for pool in (list(range(instance.user_count)), list(range(instance.node_count))):
-            values, width = max_vertex_coverage(instance, pool)
-            assert len(values) == len(pool) + 1 and values[0] == 0.0
-            assert 0 <= width < len(pool)
-            for k in range(1, len(pool) + 1):
-                searched = exact_max_coverage(instance, k, pool)[1]
-                reference = reference_exact_max_coverage(instance, k, pool)[1]
+        for nodes in (instance.user_count, instance.node_count):
+            values, width = max_vertex_coverage(instance, nodes)
+            assert len(values) == nodes + 1 and values[0] == 0.0
+            assert 0 <= width < nodes
+            for k in range(1, nodes + 1):
+                searched = _searched(instance, k, nodes, SEARCH_CAP)[1]
+                reference = reference_exact_max_coverage(instance, k, nodes)[1]
                 if instance.sensing.edge_weights is None:
                     assert values[k] == searched == reference, k
                 else:
@@ -449,7 +458,7 @@ def test_coverage_table_equals_the_searches_property():
 def test_coverage_table_equals_the_search_on_the_paper_instance(seed):
     """On the paper instance (every node a user) the table's width is 7, and
     it holds the search's bits at every budget the search finishes under
-    the CLI's cap."""
+    SEARCH_CAP."""
     inst = _paper_instance(seed)
     values, width = max_vertex_coverage(inst)
     assert width == 7
@@ -457,7 +466,7 @@ def test_coverage_table_equals_the_search_on_the_paper_instance(seed):
     finished = 0
     for k in range(1, len(values)):
         try:
-            assert exact_max_coverage(inst, k, cap=500_000, search=search)[1] == values[k], k
+            assert exact_max_coverage(inst, k, search=search)[1] == values[k], k
         except ps.InfeasibleError:
             break
         finished = k
@@ -598,7 +607,7 @@ def test_static_greedies_match_the_reference_greedy():
             expected, _ = reference_greedy(
                 lambda nodes: coverage_total(inst, nodes), [(v,) for v in pool], len(pool)
             )
-            got, value = greedy_max_coverage(inst, len(pool), pool=pool)
+            got, value = greedy_max_coverage(inst, len(pool), len(pool))
             assert list(got) == expected
             assert value == coverage_total(inst, set(got))
 
@@ -614,7 +623,7 @@ def test_static_greedies_take_a_best_gain_under_weights():
             list(ps.gus(inst, m).selection.users),
         )
         for pool in (range(m), range(inst.node_count)):
-            got, _ = greedy_max_coverage(inst, len(pool), pool=pool)
+            got, _ = greedy_max_coverage(inst, len(pool), len(pool))
             assert_greedy_rounds(
                 lambda nodes: coverage_total(inst, nodes), [(v,) for v in pool], list(got)
             )

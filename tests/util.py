@@ -328,16 +328,17 @@ def assert_greedy_rounds(value, candidates, picks, g: int | None = None, tol: fl
         starts[candidates[pick][0]] += 1
 
 
-def reference_exact_max_coverage(instance: ps.Instance, k: int, pool=None,
-                                 cap: int = ps.static_solver.DEFAULT_ENUMERATION_CAP):
+def reference_exact_max_coverage(instance: ps.Instance, k: int, nodes: int | None = None,
+                                 cap: int = ps.static_solver.SEARCH_CAP):
     """The branch and bound of ``exact_max_coverage`` written plainly, as
     its oracle: recursion, a boolean covered-road array copied per taken
     node, numpy sums of each node's fresh road weights, and the optimistic
     bound summed from a slice of the singleton coverages at every search
     node.  It visits the same search nodes in the same order, so picks,
-    value and the search-cap refusal must agree.  It recurses once per
-    pool position: use it on small pools only."""
-    pool = list(range(instance.user_count)) if pool is None else list(pool)
+    value and the search-cap refusal must agree.  The pool is the first
+    ``nodes`` nodes (default: the users).  It recurses once per pool
+    node: use it on small pools only."""
+    pool = list(range(instance.user_count if nodes is None else nodes))
     rows = instance.sensing.incidence[pool]
     k = min(k, len(pool))
     if k == 0:
@@ -348,7 +349,7 @@ def reference_exact_max_coverage(instance: ps.Instance, k: int, pool=None,
     order = sorted(range(len(pool)), key=lambda i: (-solo[i], pool[i]))
     solo_in_order = [solo[i] for i in order]
 
-    greedy_picks, greedy_value = ps.static_solver.greedy_max_coverage(instance, k, pool)
+    greedy_picks, greedy_value = ps.static_solver.greedy_max_coverage(instance, k, len(pool))
     best_value = greedy_value
     best_pick = tuple(sorted(greedy_picks))
     visited = 0
