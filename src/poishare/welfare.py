@@ -20,10 +20,21 @@ Two independent evaluation routes are provided and must agree exactly:
 
   ``d B`` counts a road once per reachable endpoint, so roads with both
   endpoints reachable are counted twice; ``colsum(B o (A B))`` is twice
-  their weight, and the second term removes the double count.  Without
-  interest sets this is one expression for all users; with them, ``A``
-  is masked to each user's interesting roads and the expression is taken
-  per user.
+  their weight, and the second term removes the double count.  With
+  interest sets, ``A`` is masked to each user's interesting roads and the
+  expression is taken per user, on one dense column of ``B``.
+
+  Without interest sets the broadcast is a rank-one update, so ``B`` is
+  never built: a broadcast row of ones would give every neighbour of the
+  broadcast node a full user-wide row in ``A B``.  With ``R`` the reach
+  matrix whose broadcast rows are cleared and ``1_S`` the indicator of the
+  broadcast nodes, ``B = R + 1_S 1^T`` on disjoint supports, and since
+  ``A`` is symmetric, with ``s = A 1_S``,
+
+      phi = (d - s) R - 0.5 * colsum(R o (A R)) + (d . 1_S - 0.5 * s . 1_S)
+
+  The scalar is the weight of the roads that touch the broadcast, and no
+  product grows with the number of broadcast nodes times the users.
 
 The matrix route exists to be checked against.  The solvers price
 candidates through ``CoverageState``, which reduces welfare to a weighted
@@ -118,15 +129,28 @@ def phi_walks_set(instance: Instance, walks: WalkSet) -> WelfareBreakdown:
 # ---------------------------------------------------------------------------
 
 
+def _checked_ids(ids, limit: int, what: str) -> np.ndarray:
+    """``ids`` as an index array; InputError unless each is an integer in
+    ``[0, limit)``.  A float, string or bool is refused, not cast."""
+    out = np.asarray(list(ids))
+    if out.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    if out.ndim != 1 or out.dtype.kind not in "iu" or out.min() < 0 or out.max() >= limit:
+        bad = next(v for v in out.tolist() if type(v) is not int or not 0 <= v < limit)
+        raise InputError(f"{what} {bad!r} is not an integer in [0, {limit})")
+    return out.astype(np.intp, copy=False)
+
+
 def sensing_matrix(
     instance: Instance, interest: frozenset[int] | None = None
 ) -> sparse.csr_array:
     """Symmetric weighted adjacency ``A`` of the sensing graph, as CSR.
 
-    ``interest`` restricts to an edge subset (per-user variant).  A
-    self-loop stores twice its weight: once for each incidence the column
-    sum attributes to it, which keeps both the column-sum identity and the
-    double-count correction exact.
+    ``interest`` restricts to an edge subset (per-user variant); an id
+    that is not a road is an InputError.  A self-loop stores twice its
+    weight: once for each incidence the column sum attributes to it, which
+    keeps both the column-sum identity and the double-count correction
+    exact.
     """
     from scipy import sparse
 
@@ -135,7 +159,7 @@ def sensing_matrix(
     weights = g1.weight_vector
     if interest is not None:
         keep = np.zeros(g1.edge_count, dtype=bool)
-        keep[np.fromiter(interest, dtype=np.intp, count=len(interest))] = True
+        keep[_checked_ids(interest, g1.edge_count, "interest road")] = True
         ends, weights = ends[keep], weights[keep]
     # Both orientations of every edge; a self-loop's two land on one cell
     # and are summed.
@@ -147,44 +171,69 @@ def sensing_matrix(
     )
 
 
+def _reach_matrix(instance: Instance, nodes, fill) -> sparse.csr_array:
+    """The node x user reach matrix with the row of each node in ``nodes``
+    replaced by ``fill``, as float CSR."""
+    from scipy import sparse
+
+    m = instance.user_count
+    rows = [sorted(reach) for reach in instance.social_reach]
+    rows += [()] * (instance.node_count - m)
+    for v in nodes:
+        rows[v] = fill
+    return sparse.csr_array(zero_one_matrix(rows, m), dtype=np.float64)
+
+
 def social_matrix(instance: Instance, broadcast_rows=()) -> sparse.csr_array:
     """Node x user reach matrix ``B``, as CSR.
 
     Column x is 1 on user x's own node and on every user within the social
     hop radius of x.  Each node in ``broadcast_rows`` gets a row of ones (it
     reaches every user); its column is untouched, since a broadcaster gains
-    nothing from its own broadcast, so symmetry is gone.
-    """
-    from scipy import sparse
+    nothing from its own broadcast, so symmetry is gone.  A row that is not
+    a node is an InputError.
 
-    m = instance.user_count
-    rows = [sorted(reach) for reach in instance.social_reach]
-    rows += [()] * (instance.node_count - m)
-    for v in broadcast_rows:
-        rows[v] = range(m)
-    return sparse.csr_array(zero_one_matrix(rows, m), dtype=np.float64)
+    The matrix route builds ``B`` this way only for interest profiles; with
+    none it takes the broadcast as a rank-one update and never builds the
+    rows of ones.
+    """
+    nodes = _checked_ids(broadcast_rows, instance.node_count, "broadcast row")
+    return _reach_matrix(instance, nodes, range(instance.user_count))
 
 
 def _closed_form(a: sparse.csr_array, b):
-    """``d B - 0.5 * colsum(B o (A B))`` for every column of ``b``, a sparse
-    array or one dense column, where ``d`` holds the row sums of ``a``."""
+    """``d B - 0.5 * colsum(B o (A B))`` for one dense column ``b``, where
+    ``d`` holds the row sums of ``a``."""
     d = a.sum(axis=1)
     return d @ b - 0.5 * (b * (a @ b)).sum(axis=0)
 
 
+def _rank_one_closed_form(instance: Instance, broadcast_rows) -> np.ndarray:
+    """Every user's ``phi`` without interest profiles, by the rank-one form
+    in the module docstring: the reach matrix ``R`` has the broadcast rows
+    cleared, so no product holds a row of ones."""
+    nodes = _checked_ids(broadcast_rows, instance.node_count, "broadcast row")
+    r = _reach_matrix(instance, nodes, ())
+    a = sensing_matrix(instance)
+    d = a.sum(axis=1)
+    on = np.zeros(instance.node_count)
+    on[nodes] = 1.0
+    s = a @ on
+    touched = d @ on - 0.5 * (s @ on)
+    return (d - s) @ r - 0.5 * (r * (a @ r)).sum(axis=0) + touched
+
+
 def _matrix_breakdown(instance: Instance, broadcast_rows) -> WelfareBreakdown:
-    b = social_matrix(instance, broadcast_rows)
     prefs = instance.preferences
     if prefs is None:
-        per_user = _closed_form(sensing_matrix(instance), b)
-    else:
-        b = b.tocsc()
-        per_user = []
-        for x in range(instance.user_count):
-            column = np.zeros(instance.node_count)
-            column[b.indices[b.indptr[x] : b.indptr[x + 1]]] = 1.0
-            a = sensing_matrix(instance, prefs.per_user_edges[x])
-            per_user.append(_closed_form(a, column))
+        return WelfareBreakdown.from_per_user(_rank_one_closed_form(instance, broadcast_rows))
+    b = social_matrix(instance, broadcast_rows).tocsc()
+    per_user = []
+    for x in range(instance.user_count):
+        column = np.zeros(instance.node_count)
+        column[b.indices[b.indptr[x] : b.indptr[x + 1]]] = 1.0
+        a = sensing_matrix(instance, prefs.per_user_edges[x])
+        per_user.append(_closed_form(a, column))
     return WelfareBreakdown.from_per_user(per_user)
 
 

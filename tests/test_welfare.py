@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -18,6 +19,7 @@ from util import (
     naive_phi,
     random_instance,
     reference_broadcast_breakdown,
+    reference_closed_form,
     reweighted,
 )
 
@@ -209,6 +211,82 @@ def test_matrix_route_is_sparse_and_exact():
             assert phi_walks_matrix(inst, walks) == phi_walks_set(inst, walks)
             visited_non_users |= max(walks.visited_nodes) >= m
     assert visited_non_users
+
+
+@st.composite
+def _broadcasts(draw):
+    """An instance without interest profiles, broadcast rows that may repeat
+    and name non-user nodes, and a walk set when the instance has walks."""
+    instance = dataclasses.replace(draw(instances()), preferences=None)
+    rows = draw(st.lists(st.integers(0, instance.node_count - 1), max_size=2 * instance.node_count))
+    space = ps.enumerate_walks(instance, draw(st.integers(1, 2))).candidates
+    walks = None
+    if space:
+        picked = draw(st.lists(st.sampled_from(space), min_size=1, max_size=4, unique=True))
+        walks = ps.WalkSet(tuple(picked), augmentation=len(picked))
+    return instance, rows, walks
+
+
+def test_rank_one_matrix_route_equals_the_closed_form_property():
+    # The no-profile matrix route never builds the rows of ones; the closed
+    # form on them is its oracle, and the set route is the ground truth.
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(case=_broadcasts())
+    def agrees(case):
+        instance, rows, walks = case
+        checks = [(rows, ps.welfare._matrix_breakdown(instance, rows).per_user,
+                   ps.welfare.broadcast_breakdown(instance, rows).per_user)]
+        if walks is not None:
+            checks.append((walks.visited_nodes, phi_walks_matrix(instance, walks).per_user,
+                           phi_walks_set(instance, walks).per_user))
+        a = ps.sensing_matrix(instance)
+        for broadcast, got, by_set in checks:
+            oracle = tuple(float(v) for v in reference_closed_form(a, ps.social_matrix(instance, broadcast)))
+            if instance.sensing.edge_weights is None:
+                assert got == oracle == by_set
+            else:
+                assert all(math.isclose(g, o, rel_tol=1e-12, abs_tol=0.0) for g, o in zip(got, oracle))
+
+    agrees()
+
+
+def test_matrix_route_peak_does_not_grow_with_the_broadcast():
+    # A 30-user broadcast on 1,000 nodes: rows of ones in B, and full rows
+    # for their road neighbours in A B, peaked at about 9.6 MB traced; the
+    # rank-one route peaks at about 4.6 MB (numpy 2.4, scipy 1.17).
+    inst = ps.synth_instance(ps.GenSpec(mode="gowalla-like", node_count=1000, seed=7))
+    sel = ps.Selection(tuple(range(30)))
+    expected = ps.phi_selection_matrix(inst, sel)  # warm: scipy and the social reach
+    tracemalloc.start()
+    try:
+        got = ps.phi_selection_matrix(inst, sel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 7_000_000, f"matrix route peaked at {peak} bytes"
+
+
+def test_matrix_constructors_refuse_ids_out_of_range():
+    # 4 nodes (2 users) and 3 roads: both ends of each range are accepted,
+    # one past either end is an InputError rather than a wrapped index, and
+    # so is an id that is not an integer rather than a cast one.
+    inst = ps.Instance(
+        sensing=ps.SensingGraph(node_count=4, user_count=2, edges=((0, 1), (1, 2), (2, 3))),
+        social=ps.SocialGraph(user_count=2, edges=()),
+    )
+    assert ps.social_matrix(inst, broadcast_rows=(0,)).toarray()[0].tolist() == [1.0, 1.0]
+    assert ps.social_matrix(inst, broadcast_rows=(3,)).toarray()[3].tolist() == [1.0, 1.0]
+    assert ps.sensing_matrix(inst, frozenset({0})).toarray()[0].tolist() == [0, 1, 0, 0]
+    assert ps.sensing_matrix(inst, frozenset({2})).toarray()[3].tolist() == [0, 0, 1, 0]
+    for rows in ((-1,), (4,), (2**70,), (1.5,), ("3",), (True,), (0, 2.0)):
+        with pytest.raises(ps.InputError, match="broadcast row"):
+            ps.social_matrix(inst, broadcast_rows=rows)
+        with pytest.raises(ps.InputError, match="broadcast row"):
+            ps.welfare._matrix_breakdown(inst, rows)
+    for interest in ({-1}, {3}, {1.5}, {"2"}):
+        with pytest.raises(ps.InputError, match="interest road"):
+            ps.sensing_matrix(inst, frozenset(interest))
 
 
 def test_update_order_does_not_matter():

@@ -179,6 +179,16 @@ def reference_broadcast_breakdown(instance: ps.Instance, broadcast_nodes) -> ps.
     return ps.WelfareBreakdown.from_per_user(per_user)
 
 
+def reference_closed_form(a, b):
+    """The matrix route's closed form as first written, as the oracle of its
+    rank-one evaluation: ``d B - 0.5 * colsum(B o (A B))`` for every column
+    of ``b``, with ``d`` the row sums of ``a``.  Pass ``b`` from
+    ``social_matrix(instance, broadcast_rows)``, whose broadcast rows are
+    rows of ones."""
+    d = a.sum(axis=1)
+    return d @ b - 0.5 * (b * (a @ b)).sum(axis=0)
+
+
 @st.composite
 def instances(draw, weights=st.floats(0.1, 5.0)):
     """A hypothesis instance of up to 6 users and 3 non-user nodes, with
